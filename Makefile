@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check build fmt vet test test-race bench bench-par bench-restructure bench-serve bench-incremental bench-smoke repro fuzz-smoke clean
+.PHONY: check build fmt vet test test-race bench-module bench bench-par bench-restructure bench-serve bench-incremental bench-smoke repro fuzz-smoke clean
 
 # The full gate: what CI (and every PR) must pass.
-check: build fmt vet test-race
+check: build fmt vet test-race bench-module
 
 # gofmt as a check: fails listing any file that is not gofmt-clean.
 fmt:
@@ -21,6 +21,13 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# The benchmark is a separate module (bench/go.mod, replacing beyondiv
+# with this checkout) that calls engine, iv, serve and facade APIs
+# directly; the root ./... never builds it, so vet and test it here.
+bench-module:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench test ./...
 
 # Runs every benchmark, then re-measures the engine's headline numbers
 # (cold vs warm cache, sequential vs 4-worker batch) into

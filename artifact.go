@@ -23,14 +23,14 @@ import (
 // structured report JSON, and one provenance chain per explainable name
 // (iv.ExplainKeys order — structural, so a twin's entries align
 // position by position).
-func artifactOf(st *engine.State) (*codec.Artifact, []string, error) {
+func artifactOf(st *engine.State) (*codec.Artifact, error) {
 	p := programOf(st)
 	if p.IV == nil || st.File == nil {
-		return nil, nil, errors.New("beyondiv: state has no live analysis to serialize")
+		return nil, errors.New("beyondiv: state has no live analysis to serialize")
 	}
 	js, err := json.Marshal(p.IV.ReportData())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	a := &codec.Artifact{
 		Classification: p.ClassificationReport(),
@@ -42,21 +42,20 @@ func artifactOf(st *engine.State) (*codec.Artifact, []string, error) {
 	for _, key := range p.IV.ExplainKeys() {
 		a.Explains = append(a.Explains, codec.ExplainEntry{Name: key, Text: p.IV.ExplainVar(key)})
 	}
-	_, names := codec.StructuralHash(st.File)
-	return a, names, nil
+	return a, nil
 }
 
-// buildArtifact serializes st for the disk store. The twin analysis is
-// best-effort: any failure — a table too large to code, a twin that
-// does not analyze, a rendering that will not align — just downgrades
-// the entry to literal-only storage (exact for identical name tables)
-// rather than failing the write.
-func buildArtifact(st *engine.State, bare *engine.Engine) ([]byte, error) {
-	a, names, err := artifactOf(st)
+// buildArtifact serializes st — whose structural hash and name table
+// the engine computed after parse — for the disk store. The twin
+// analysis is best-effort: any failure — a table too large to code, a
+// twin that does not analyze, a rendering that will not align — just
+// downgrades the entry to literal-only storage (exact for identical
+// name tables) rather than failing the write.
+func buildArtifact(st *engine.State, sum [32]byte, names []string, bare *engine.Engine) ([]byte, error) {
+	a, err := artifactOf(st)
 	if err != nil {
 		return nil, err
 	}
-	sum, _ := codec.StructuralHash(st.File)
 	var twin *codec.Artifact
 	twinNames := codec.RenameTable(names)
 	if twinNames != nil {
@@ -67,7 +66,7 @@ func buildArtifact(st *engine.State, bare *engine.Engine) ([]byte, error) {
 			// loop label's name — whose rewrite would corrupt the label
 			// text in every report — fails here), renamed table as built.
 			if tsum, tnames := codec.StructuralHash(tst.File); tsum == sum && slices.Equal(tnames, twinNames) {
-				if ta, _, aerr := artifactOf(tst); aerr == nil {
+				if ta, aerr := artifactOf(tst); aerr == nil {
 					twin = ta
 				}
 			}

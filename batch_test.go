@@ -141,42 +141,64 @@ func TestCacheHitReturnsSameArtifacts(t *testing.T) {
 	}
 }
 
-// TestCacheFingerprintMiss: a shared cache keeps analyzers with
-// different option fingerprints apart — same source, different
-// options, no false hit.
+// TestCacheFingerprintMiss: analyzers sharing one CacheDir keep their
+// option sets apart, the way ivclass (SkipDependences) and depclass
+// (defaults) share a store. An analyzer whose options change results
+// never reads an entry written under other options — it misses and
+// answers like a fresh analysis with its own options — while a second
+// analyzer with the writer's options hits the writer's alias.
 func TestCacheFingerprintMiss(t *testing.T) {
 	src := paper.ByID("E6").Source
-	cache := NewCache(8)
-	a1, err := NewAnalyzer(Options{Cache: cache}).Analyze(src)
+	dir := t.TempDir()
+	def, err := NewAnalyzer(Options{CacheDir: dir}).Analyze(src)
 	if err != nil {
 		t.Fatal(err)
 	}
+	noClosedForms := Options{}
+	noClosedForms.IV.DisableClosedForms = true
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"closed forms off", noClosedForms},
+		{"skip dependences", Options{SkipDependences: true}},
+	} {
+		fresh, err := AnalyzeWith(src, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: fresh: %v", tc.name, err)
+		}
+		if reportsOf(fresh) == reportsOf(def) {
+			t.Fatalf("%s: report equals the default one, so a false hit would go unseen", tc.name)
+		}
+		rec := obs.New()
+		opts := tc.opts
+		opts.CacheDir, opts.Obs = dir, rec
+		got, err := NewAnalyzer(opts).Analyze(src)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if n := rec.Counter("engine.store.hit"); n != 0 {
+			t.Errorf("%s: engine.store.hit = %d across differing options fingerprints, want 0", tc.name, n)
+		}
+		if n := rec.Counter("engine.store.miss"); n != 1 {
+			t.Errorf("%s: engine.store.miss = %d, want 1", tc.name, n)
+		}
+		if reportsOf(got) != reportsOf(fresh) {
+			t.Errorf("%s: store-backed report differs from a fresh analysis\n--- store ---\n%s\n--- fresh ---\n%s",
+				tc.name, reportsOf(got), reportsOf(fresh))
+		}
+	}
+	// The writer's options from a fresh analyzer: a true hit.
 	rec := obs.New()
-	opts := Options{Cache: cache, Obs: rec}
-	opts.IV.DisableClosedForms = true
-	a2, err := NewAnalyzer(opts).Analyze(src)
+	again, err := NewAnalyzer(Options{CacheDir: dir, Obs: rec}).Analyze(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Counter("engine.cache.hit") != 0 {
-		t.Error("differing options fingerprint hit the cache")
+	if n := rec.Counter("engine.store.hit.alias"); n != 1 {
+		t.Errorf("identical options + shared store: engine.store.hit.alias = %d, want 1", n)
 	}
-	if rec.Counter("engine.cache.miss") != 1 {
-		t.Errorf("engine.cache.miss = %d, want 1", rec.Counter("engine.cache.miss"))
-	}
-	if a1.IV == a2.IV {
-		t.Error("analyzers with different options share an analysis")
-	}
-	if cache.Len() != 2 {
-		t.Errorf("shared cache holds %d entries, want 2", cache.Len())
-	}
-	// Same options + same cache from a fresh analyzer: true hit.
-	rec2 := obs.New()
-	if _, err := NewAnalyzer(Options{Cache: cache, Obs: rec2}).Analyze(src); err != nil {
-		t.Fatal(err)
-	}
-	if rec2.Counter("engine.cache.hit") != 1 {
-		t.Error("identical options + shared cache missed")
+	if reportsOf(again) != reportsOf(def) {
+		t.Error("identical options + shared store: hit differs from the writer's report")
 	}
 }
 

@@ -1,7 +1,8 @@
-// Parallel-tier benchmarks: what the intra-run fan-out buys on a
-// single large analysis, sequential vs Parallel=4, plus the guard that
-// parallelism must not tax small programs. `make bench-par` writes the
-// headline numbers to BENCH_par.json via TestParBenchArtifact.
+// Parallel-tier benchmarks: what the intra-run fan-out — the
+// dependence tester's pair sweep — buys on a single large analysis,
+// sequential vs Parallel=4, plus the guard that parallelism must not
+// tax small programs. `make bench-par` writes the headline numbers to
+// BENCH_par.json via TestParBenchArtifact.
 package beyondiv
 
 import (
@@ -15,8 +16,10 @@ import (
 )
 
 // parBenchProgram is the fan-out benchmark workload: independent
-// top-level loops with quadratic per-loop pair counts, so both the
-// classifier and the dependence tester have real concurrent work.
+// top-level loops with quadratic per-loop pair counts, so the
+// dependence tester has real concurrent work. The classifier, the
+// frontend and the sweep's sequential prewarm stay on one worker, so
+// the whole analysis speeds up by less than the sweep does.
 func parBenchProgram() string { return progen.Large(24) }
 
 // BenchmarkAnalyzeParallel: one large analysis by fan-out width.
@@ -43,7 +46,8 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 // bench-par` leaves a machine-readable record in BENCH_par.json:
 // sequential vs 4-worker analysis of the large generated program, and
 // the sequential cost of a small program with the fan-out enabled
-// (which must stay under its work-size thresholds and therefore free).
+// (which must stay under the sweep's work-size threshold and therefore
+// free).
 // gomaxprocs/num_cpu are recorded alongside; the speedup expectations
 // only bind on hosts that can actually run workers in parallel.
 func TestParBenchArtifact(t *testing.T) {
@@ -66,7 +70,7 @@ func TestParBenchArtifact(t *testing.T) {
 	seq, par := bench(1, src), bench(4, src)
 	speedup := ratio(seq.NsPerOp(), par.NsPerOp())
 
-	// Small-program guard: E6 is far below the fan-out thresholds, so a
+	// Small-program guard: E6 is far below the fan-out threshold, so a
 	// Parallel=4 analyzer must not slow it down.
 	smallSeq, smallPar := bench(1, paper.ByID("E6").Source), bench(4, paper.ByID("E6").Source)
 	smallOverhead := ratio(smallPar.NsPerOp(), smallSeq.NsPerOp())

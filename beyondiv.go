@@ -124,28 +124,24 @@ type Options struct {
 	// worker per available CPU). Single-source Analyze ignores it.
 	Jobs int
 	// Parallel is the intra-run fan-out width: when a single analysis
-	// has enough independent work (sibling loop subtrees for the
-	// classifier, array-reference pairs for the dependence tester), up
-	// to this many workers share it. 0 means one worker per available
-	// CPU; 1 disables the fan-out. Results are bit-identical to the
-	// sequential pipeline either way, so the field stays out of
-	// Fingerprint and parallel and sequential runs share cache entries.
+	// has enough array-reference pairs for the dependence tester, up to
+	// this many workers share them. The classifier always runs as one
+	// pass. 0 means one worker per available CPU; 1 disables the
+	// fan-out. Results are bit-identical to the sequential pipeline
+	// either way, so the field stays out of Fingerprint and parallel
+	// and sequential runs share cache entries.
 	// In batch mode the width is divided by the number of concurrent
 	// batch workers (floor 1) unless set explicitly, so batch × intra-run
 	// parallelism does not oversubscribe the machine.
 	Parallel int
 	// CacheEntries, when positive, gives the analyzer a private LRU
-	// result cache of that capacity, keyed by source hash + options
-	// fingerprint: re-analyzing an unchanged source returns the cached
+	// result cache of that capacity, keyed by source hash:
+	// re-analyzing an unchanged source returns the cached
 	// Program's artifacts without running the pipeline. Cached artifacts
 	// are shared and immutable; Optimize works on a private clone of the
 	// cached program (clone-on-transform), so optimizing a cache hit is
 	// always safe.
 	CacheEntries int
-	// Cache, when non-nil, overrides CacheEntries with an explicit
-	// cache, which may be shared across analyzers with different
-	// options; the fingerprint in each key keeps their entries apart.
-	Cache *Cache
 	// CacheDir, when non-empty, adds a persistent second cache tier: a
 	// disk-backed content-addressed store of serialized analysis
 	// artifacts (reports, structured report data, provenance chains)
@@ -201,21 +197,13 @@ type Options struct {
 // panicking goroutine's Stack.
 type Error = engine.Error
 
-// Cache is a concurrency-safe LRU of analysis results, shareable
-// across analyzers; see Options.Cache and NewCache.
-type Cache = engine.Cache
-
-// NewCache returns a result cache holding up to capacity analyses.
-func NewCache(capacity int) *Cache { return engine.NewCache(capacity) }
-
 // Fingerprint identifies the option fields that change analysis
-// results, for the content-addressed caches (in-memory, on-disk, and
-// the analysis server's fault-poisoning keys). Obs, Metrics, Flight,
-// Limits, Jobs, Parallel and the cache fields are excluded: they
-// change how the
-// pipeline runs (or what it reports about itself), not what it
-// computes (Limits are fingerprinted by the engine itself, since a
-// ceiling changes which sources fail).
+// results, for the on-disk store (shared by analyzers with different
+// options) and the analysis server's fault-poisoning keys. Obs,
+// Metrics, Flight, Limits, Jobs, Parallel and the cache fields are
+// excluded: they change how the pipeline runs (or what it reports
+// about itself), not what it computes (Limits are fingerprinted by
+// the engine itself, since a ceiling changes which sources fail).
 func (o Options) Fingerprint() string {
 	return fmt.Sprintf("skipdeps:%t|iv:%s|dep:%s",
 		o.SkipDependences, o.IV.Fingerprint(), o.Dependences.Fingerprint())
@@ -264,7 +252,6 @@ func NewAnalyzer(opts Options) *Analyzer {
 		Limits:         opts.Limits,
 		Jobs:           opts.Jobs,
 		Parallel:       opts.Parallel,
-		Cache:          opts.Cache,
 		CacheEntries:   opts.CacheEntries,
 		Fingerprint:    opts.Fingerprint(),
 		BatchSteps:     opts.BatchSteps,
@@ -289,8 +276,8 @@ func NewAnalyzer(opts Options) *Analyzer {
 			bare := engine.New(engine.Config{Passes: opts.passes(), Limits: lim})
 			cfg.Store = disk
 			cfg.StoreWriteOnly = opts.CacheDirWriteOnly
-			cfg.BuildArtifact = func(st *engine.State) ([]byte, error) {
-				return buildArtifact(st, bare)
+			cfg.BuildArtifact = func(st *engine.State, sum [32]byte, names []string) ([]byte, error) {
+				return buildArtifact(st, sum, names, bare)
 			}
 		}
 	}

@@ -23,20 +23,18 @@
 // body asks, capped at -max-timeout) threaded into the engine's
 // cooperative cancellation, so a hung client or an expensive input
 // cannot pin a worker. -parallel sets the intra-run fan-out width — how
-// many workers one analysis may split its independent loops and
-// dependence pairs across — and caps the request bodies' "parallel"
-// field the same way -max-timeout caps timeout_ms. It defaults to 1: a
+// many workers one analysis may split its dependence pairs across —
+// for every request; bodies cannot change it. It defaults to 1: a
 // daemon already runs -workers × -jobs analyses concurrently, and
 // splitting each of those further oversubscribes the machine; raise it
 // only on big machines serving few, large requests. -cache-dir adds a
-// persistent artifact store
-// under the in-memory cache: a restarted daemon answers repeat (or
-// reformatted, or α-renamed) sources from disk without re-analysis,
-// and the engine.store.* counters on /metrics show the tier working.
-// Analyzer panics are contained per-request into
-// structured 500s with phase attribution, and the faulting source's
-// hash is poisoned (-poison entries) so replayed crashers are refused
-// from cache. SIGTERM/SIGINT flips /healthz to draining, stops
+// persistent artifact store under the in-memory cache: a restarted
+// daemon answers repeat (or reformatted, or α-renamed) sources from
+// disk without re-analysis, and the engine.store.* counters on
+// /metrics show the tier working. Analyzer panics are contained
+// per-request into structured 500s with phase attribution, and the
+// faulting source's hash is poisoned (-poison entries) so replayed
+// crashers are refused from cache. SIGTERM/SIGINT flips /healthz to draining, stops
 // admission, waits up to -drain-timeout for in-flight work, flushes a
 // final metrics summary to stderr, and exits 0 on a clean drain
 // (1 otherwise).
@@ -67,7 +65,7 @@ var (
 	workers      = flag.Int("workers", 4, "requests analyzed concurrently (admission slots)")
 	queue        = flag.Int("queue", 0, "requests allowed to wait for a slot (0 = 4x workers); beyond this, shed with 429")
 	jobs         = flag.Int("jobs", 2, "worker pool size inside one /v1/batch request")
-	parallel     = flag.Int("parallel", 1, "intra-run fan-out width per analysis, and cap on the bodies' \"parallel\" field (0 = one per CPU)")
+	parallel     = flag.Int("parallel", 1, "intra-run fan-out width of each analysis's dependence-pair sweep (0 = one per CPU)")
 	cacheN       = flag.Int("cache", 1024, "result-cache capacity shared by all requests (0 = no cache)")
 	cacheDir     = flag.String("cache-dir", "", "persist analysis artifacts in a content-addressed store under `dir`, surviving restarts")
 	cacheMax     = flag.Int64("cache-max-bytes", 0, "size budget of -cache-dir in `bytes` (0 = 256 MiB)")

@@ -30,9 +30,9 @@
 // embedded program is extracted), or a directory walked recursively
 // for such files. Every iteration analyzes the whole corpus as one
 // batch over -jobs workers; -parallel additionally splits each
-// analysis across workers (0, the default, uses one per CPU, divided
-// across the -jobs workers so the two tiers compose instead of
-// oversubscribing). -cache gives the analyzer a result cache
+// analysis's dependence-pair sweep across workers (0, the default,
+// uses one per CPU, divided across the -jobs workers so the two tiers
+// compose instead of oversubscribing). -cache gives the analyzer a result cache
 // of that capacity, turning steady state into cache hits (useful for
 // watching the hit counters move). -inject makes one extra analysis
 // per iteration fail with a contained fault in the named phase, so
@@ -105,7 +105,7 @@ func main() {
 		fopts := opts
 		// Faults must not be masked by the in-memory cache or the disk
 		// store (a decoded hit would never reach the injected phase).
-		fopts.CacheEntries, fopts.Cache, fopts.CacheDir = 0, nil, ""
+		fopts.CacheEntries, fopts.CacheDir = 0, ""
 		fopts.Limits.Inject = guard.PanicIn(*inject)
 		faulty = beyondiv.NewAnalyzer(fopts)
 	}

@@ -26,9 +26,9 @@
 // recursively for such files. Multiple programs run as one batch —
 // concurrently with -jobs > 1 — and report in input order under
 // per-file headers; one failing input does not stop the rest.
-// -parallel additionally splits each analysis across workers (0, the
-// default, uses one per CPU, divided across the -jobs workers when
-// batching); results are identical at every width. -passes
+// -parallel additionally splits each analysis's dependence-pair sweep
+// across workers (0, the default, uses one per CPU, divided across the
+// -jobs workers when batching); results are identical at every width. -passes
 // selects and orders the -apply pipeline (comma-separated; default
 // "normalize,peel,strength,ivsub,dce"). -stats prints phase timings and
 // pipeline counters to standard error; -trace writes a Chrome

@@ -15,9 +15,9 @@
 // for such .go files. Multiple programs are analyzed as one batch —
 // concurrently with -jobs > 1 — and reported in input order under
 // per-file headers; one failing input does not stop the rest.
-// -parallel additionally splits each analysis across workers (0, the
-// default, uses one per CPU, divided across the -jobs workers when
-// batching); results are identical at every width. -why
+// -parallel additionally splits each analysis's dependence-pair sweep
+// across workers (0, the default, uses one per CPU, divided across the
+// -jobs workers when batching); results are identical at every width. -why
 // prints each dependence's provenance: the paper rule behind its
 // decision procedure and the classification chains of both subscripts.
 //

@@ -4,22 +4,18 @@
 //
 // Usage:
 //
-//	ivclass [-ssa] [-nested] [-json] [-jobs n] [-parallel n]
-//	        [-cache-dir dir] [-watch] [-stats] [-trace file]
-//	        [-jsonl file] [-explain var] [-debug-addr addr] [file|dir ...]
+//	ivclass [-ssa] [-nested] [-json] [-jobs n] [-cache-dir dir]
+//	        [-watch] [-stats] [-trace file] [-jsonl file]
+//	        [-explain var] [-debug-addr addr] [file|dir ...]
 //
 // With no arguments, one program is read from standard input; each
 // argument may be a program file, an examples-style .go file (the
 // embedded program is extracted), or a directory walked recursively
 // for such .go files. Multiple programs are analyzed as one batch —
 // concurrently with -jobs > 1 — and reported in input order under
-// per-file headers; one failing input does not stop the rest.
-// -parallel additionally splits each analysis across workers (0, the
-// default, uses one per CPU, divided across the -jobs workers when
-// batching so the two tiers compose instead of oversubscribing);
-// results are identical at every width. -explain prints the provenance
-// chain (paper rule, SCR, feeding classifications) that classified the
-// named variable.
+// per-file headers; one failing input does not stop the rest. -explain
+// prints the provenance chain (paper rule, SCR, feeding
+// classifications) that classified the named variable.
 //
 // -cache-dir persists analysis artifacts in a content-addressed store:
 // re-running over an unchanged (or merely reformatted, or α-renamed)
@@ -49,14 +45,12 @@ var (
 	tel     cliutil.Telemetry
 	cache   cliutil.CacheFlags
 	watch   cliutil.WatchFlags
-	par     cliutil.ParallelFlag
 )
 
 func main() {
 	tel.RegisterObsFlags()
 	cache.Register()
 	watch.Register()
-	par.Register()
 	flag.Parse()
 	if err := tel.Start(); err != nil {
 		fatal(err)
@@ -66,7 +60,6 @@ func main() {
 		Jobs:            *jobs,
 	}
 	tel.Apply(&opts)
-	par.Apply(&opts)
 	// -ssa and -nested walk the live SSA graph, which a decoded disk
 	// artifact does not carry: keep the store warm but analyze live.
 	cache.Apply(&opts, *dumpSSA || *nested)

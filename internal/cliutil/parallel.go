@@ -8,8 +8,8 @@ import (
 
 // ParallelFlag is the shared -parallel flag: the intra-run fan-out
 // width threaded into beyondiv.Options.Parallel. One analysis with
-// enough independent work (sibling loops, dependence pairs) splits it
-// across this many workers; results are bit-identical at every width.
+// enough dependence pairs splits the pair sweep across this many
+// workers; results are bit-identical at every width.
 // Register before flag.Parse and thread into the analysis with Apply.
 type ParallelFlag struct {
 	N int
@@ -23,7 +23,7 @@ type ParallelFlag struct {
 // given.
 func (p *ParallelFlag) Register() {
 	flag.IntVar(&p.N, "parallel", 0,
-		"split each analysis across `n` workers (0 = one per CPU, divided across -jobs workers in batch runs; 1 = sequential; results identical at every width)")
+		"split each analysis's dependence-pair sweep across `n` workers (0 = one per CPU, divided across -jobs workers in batch runs; 1 = sequential; results identical at every width)")
 }
 
 // Apply threads the flag into opts.

@@ -6,32 +6,21 @@ import (
 	"sync"
 )
 
-// cacheKey content-addresses one analysis: the SHA-256 of the engine's
-// fingerprint (caller options + limits + pass names) and the source
-// text. Two engines sharing a Cache never collide unless both their
-// options and their input agree — in which case sharing the result is
-// exactly right.
+// cacheKey content-addresses one analysis by the SHA-256 of its source
+// text. The cache is private to one engine, whose options, limits and
+// passes are fixed at New, so the source alone identifies the result.
 type cacheKey [sha256.Size]byte
 
-// key hashes one source under this engine's fingerprint.
-func (e *Engine) key(source string) cacheKey {
-	h := sha256.New()
-	h.Write([]byte(e.fp))
-	h.Write([]byte{0})
-	h.Write([]byte(source))
-	var k cacheKey
-	h.Sum(k[:0])
-	return k
-}
+func keyOf(source string) cacheKey { return sha256.Sum256([]byte(source)) }
 
-// Cache is a concurrency-safe LRU of successful analysis results,
-// content-addressed by source hash + options fingerprint. Failed runs
-// are never cached (a limit hit under one budget is not a fact about
-// the source). States handed out on a hit are shared — they are
-// immutable after analysis, so sharing is safe; callers that mutate
-// artifacts (e.g. applying transformations to the SSA) should analyze
-// without a cache.
-type Cache struct {
+// resultCache is a concurrency-safe LRU of successful analysis
+// results, content-addressed by source hash. Failed runs are never
+// cached (a limit hit under one budget is not a fact about the
+// source). States handed out on a hit are shared — they are immutable
+// after analysis, so sharing is safe; callers that mutate artifacts
+// (e.g. applying transformations to the SSA) should analyze without a
+// cache.
+type resultCache struct {
 	mu      sync.Mutex
 	cap     int
 	entries map[cacheKey]*list.Element
@@ -43,34 +32,17 @@ type cacheEntry struct {
 	st  *State
 }
 
-// NewCache returns an LRU holding up to capacity results; capacity <= 0
-// returns nil (no caching), which every method tolerates.
-func NewCache(capacity int) *Cache {
-	if capacity <= 0 {
-		return nil
-	}
-	return &Cache{
+// newResultCache returns an LRU holding up to capacity results.
+func newResultCache(capacity int) *resultCache {
+	return &resultCache{
 		cap:     capacity,
 		entries: make(map[cacheKey]*list.Element, capacity),
 		order:   list.New(),
 	}
 }
 
-// Len returns the number of cached results.
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // get returns the cached state for key, refreshing its recency, or nil.
-func (c *Cache) get(key cacheKey) *State {
-	if c == nil {
-		return nil
-	}
+func (c *resultCache) get(key cacheKey) *State {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -83,10 +55,7 @@ func (c *Cache) get(key cacheKey) *State {
 
 // put inserts a result, evicting from the cold end past capacity, and
 // reports how many entries were evicted.
-func (c *Cache) put(key cacheKey, st *State) (evicted int64) {
-	if c == nil {
-		return 0
-	}
+func (c *resultCache) put(key cacheKey, st *State) (evicted int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[key]; ok {

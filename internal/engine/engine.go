@@ -23,9 +23,9 @@
 //     concurrently, with per-worker forked obs recorders merged back
 //     deterministically and an optional shared guard step pool so the
 //     batch as a whole has a work ceiling;
-//   - a content-addressed result cache (cache.go): an LRU keyed by
-//     source hash + options fingerprint, so repeated analysis of hot
-//     sources is a hash and a map hit.
+//   - a content-addressed result cache (cache.go): a private LRU keyed
+//     by source hash, so repeated analysis of hot sources is a hash and
+//     a map hit.
 package engine
 
 import (
@@ -106,8 +106,9 @@ func (s *State) Scratch() *scratch.Arena { return s.scratch }
 func (s *State) Par() int { return s.par }
 
 // Metrics returns the engine's process-lifetime registry (nil when no
-// metrics backend is configured); parallel passes publish their
-// engine.par.* fan-out counters into it.
+// metrics backend is configured); the dependence pass publishes its
+// engine.par.* fan-out counters into it, and transform passes their
+// engine.xform.* counters.
 func (s *State) Metrics() *metrics.Registry { return s.reg }
 
 // Put stores a contributed pass's artifact under key.
@@ -201,24 +202,21 @@ type Config struct {
 	// available CPU, and the pool never exceeds the batch size.
 	Jobs int
 	// Parallel is the intra-run fan-out width: how many workers one
-	// Analyze may spread its per-loop classification and per-pair
-	// dependence tests over. 0 means one worker per available CPU, 1
-	// is the sequential path; either way results are bit-identical.
+	// Analyze may spread its per-pair dependence tests over. 0 means
+	// one worker per available CPU, 1 is the sequential path; either
+	// way results are bit-identical.
 	// In batch mode an auto (0) width is divided by the batch worker
 	// count so the two tiers multiply to at most GOMAXPROCS; an
 	// explicit width is honored as given. Parallel deliberately stays
 	// out of the cache fingerprint.
 	Parallel int
-	// Cache, when non-nil, memoizes successful runs content-addressed
-	// by source hash + fingerprint. A cache may be shared by several
-	// engines; differing fingerprints keep their entries apart.
-	Cache *Cache
-	// CacheEntries, when positive and Cache is nil, gives the engine a
-	// private LRU of that capacity.
+	// CacheEntries, when positive, gives the engine a private LRU of
+	// that capacity, memoizing successful runs by source hash.
 	CacheEntries int
 	// Fingerprint distinguishes option sets that change analysis
 	// results (ablation switches, dependence options); it is mixed
-	// into every cache key together with the limits and pass names.
+	// into every disk-store key together with the limits and pass
+	// names.
 	Fingerprint string
 	// BatchSteps, when positive, is a shared guard budget for one
 	// AnalyzeAll call: every phase step of every source draws from
@@ -237,8 +235,10 @@ type Config struct {
 	// blob for the disk store. The engine cannot build it itself — the
 	// artifact includes texts rendered by the classifier and dependence
 	// packages, which import engine — so the facade supplies the hook.
+	// It receives the structural hash and name table the engine
+	// computed after parse, so a write never hashes the program again.
 	// A nil hook (or an error return) makes the store read-only.
-	BuildArtifact func(*State) ([]byte, error)
+	BuildArtifact func(st *State, structSum [32]byte, names []string) ([]byte, error)
 	// StoreWriteOnly disables disk *reads* while keeping writes: set by
 	// callers whose consumers need the live object graphs (SSA dumps,
 	// DOT output, the optimizer) and cannot accept a decoded state.
@@ -268,10 +268,10 @@ type Config struct {
 // Engines are safe for concurrent use.
 type Engine struct {
 	cfg   Config
-	cache *Cache
-	fp    string // full cache-key prefix: caller fingerprint + limits + passes
-	ins   *instr // nil unless Metrics or Flight is configured
-	par   int    // resolved Config.Parallel: 0 mapped to GOMAXPROCS
+	cache *resultCache // nil unless CacheEntries > 0
+	fp    string       // full disk-key prefix: caller fingerprint + limits + passes
+	ins   *instr       // nil unless Metrics or Flight is configured
+	par   int          // resolved Config.Parallel: 0 mapped to GOMAXPROCS
 
 	// arenas recycles scratch arenas across runs and workers: each
 	// analyze call checks one out for the duration of its pass list
@@ -285,13 +285,13 @@ type Engine struct {
 // engine entry points never run unguarded.
 func New(cfg Config) *Engine {
 	cfg.Limits = cfg.Limits.Normalize()
-	e := &Engine{cfg: cfg, cache: cfg.Cache, ins: newInstr(&cfg), arenas: scratch.NewPool()}
+	e := &Engine{cfg: cfg, ins: newInstr(&cfg), arenas: scratch.NewPool()}
 	e.par = cfg.Parallel
 	if e.par <= 0 {
 		e.par = runtime.GOMAXPROCS(0)
 	}
-	if e.cache == nil && cfg.CacheEntries > 0 {
-		e.cache = NewCache(cfg.CacheEntries)
+	if cfg.CacheEntries > 0 {
+		e.cache = newResultCache(cfg.CacheEntries)
 	}
 	l := cfg.Limits
 	// Every variable-length component is length-prefixed so no crafted
@@ -343,7 +343,7 @@ func (e *Engine) analyze(source string, rec *obs.Recorder, lim guard.Limits, par
 
 	var key cacheKey
 	if e.cache != nil {
-		key = e.key(source)
+		key = keyOf(source)
 		if st := e.cache.get(key); st != nil && !(needLive && st.art != nil) {
 			rec.Count("engine.cache.hit")
 			if e.ins != nil {

@@ -154,7 +154,7 @@ func TestCacheLRU(t *testing.T) {
 		t.Error("hot entry was evicted")
 	}
 	rec2 := obs.New()
-	eng2 := frontend(engine.Config{Cache: nil, Obs: rec2})
+	eng2 := frontend(engine.Config{Obs: rec2})
 	eng2.Analyze(srcs[0])
 	if rec2.Counter("engine.cache.miss") != 0 {
 		t.Error("cacheless engine recorded cache traffic")

@@ -97,7 +97,7 @@ func (e *Engine) entryGet(structSum [32]byte, names []string, rec *obs.Recorder,
 // it. Serialization or I/O failures only cost persistence — the live
 // result has already been computed and is returned regardless.
 func (e *Engine) diskWrite(st *State, structSum [32]byte, structNames []string, rec *obs.Recorder) {
-	data, err := e.cfg.BuildArtifact(st)
+	data, err := e.cfg.BuildArtifact(st, structSum, structNames)
 	if err != nil || data == nil {
 		return
 	}

@@ -12,10 +12,10 @@ import (
 	"beyondiv/internal/store"
 )
 
-// TestFingerprintNoCollision pins the length-prefixed cache-key scheme:
+// TestFingerprintNoCollision pins the length-prefixed disk-key scheme:
 // under the old unescaped "|" concatenation, a caller fingerprint could
 // impersonate the limits-and-passes suffix of a different configuration
-// and alias its cache entries. These two configurations concatenate
+// and alias its store entries. These two configurations concatenate
 // identically without length prefixes and must not share keys.
 func TestFingerprintNoCollision(t *testing.T) {
 	mk := func(fp string, passNames ...string) *Engine {
@@ -28,16 +28,16 @@ func TestFingerprintNoCollision(t *testing.T) {
 	// One pass named "a,b" versus two passes "a" and "b".
 	e1 := mk("x", "a,b")
 	e2 := mk("x", "a", "b")
-	if e1.key("s") == e2.key("s") {
+	if e1.aliasKey("s") == e2.aliasKey("s") {
 		t.Fatalf("pass-name concatenation still collides:\n%q\n%q", e1.fp, e2.fp)
 	}
 	// A fingerprint smuggling a pass-list suffix versus the real thing.
 	e3 := mk("x|3:a,b")
-	if e3.key("s") == e1.key("s") {
+	if e3.aliasKey("s") == e1.aliasKey("s") {
 		t.Fatalf("crafted fingerprint collides with pass list:\n%q\n%q", e3.fp, e1.fp)
 	}
 	// Same shapes must still agree with themselves.
-	if mk("x", "a", "b").key("s") != e2.key("s") {
+	if mk("x", "a", "b").aliasKey("s") != e2.aliasKey("s") {
 		t.Fatalf("identical configs produce different keys")
 	}
 }
@@ -57,8 +57,7 @@ func persistConfig(st8 *store.Store, reg *metrics.Registry, rec *obs.Recorder) C
 		Store:   st8,
 		Obs:     rec,
 		Metrics: reg,
-		BuildArtifact: func(s *State) ([]byte, error) {
-			_, names := codec.StructuralHash(s.File)
+		BuildArtifact: func(_ *State, _ [32]byte, names []string) ([]byte, error) {
 			return codec.Encode(&codec.Artifact{Classification: "stub-report"}, names, nil, nil), nil
 		},
 	}

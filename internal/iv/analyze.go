@@ -66,19 +66,10 @@ type Options struct {
 	// backends of the engine AnalyzeProgramWith builds: per-phase
 	// latency histograms, guard and fault counters, and the
 	// flight-recorder capture of recent runs. Both are nil-off and,
-	// like Obs, excluded from Fingerprint. The classifier publishes its
-	// engine.par.* fan-out counters into Metrics; otherwise they
-	// configure the engine.
+	// like Obs, excluded from Fingerprint; they configure the engine,
+	// not the classifier.
 	Metrics *metrics.Registry
 	Flight  *metrics.Flight
-	// Workers is the intra-run fan-out width for per-loop
-	// classification: sibling subtrees of the loop forest classify
-	// concurrently when Workers > 1 and the program is large enough
-	// (see classifyParallel). 0 or 1 keeps the sequential path. Like
-	// Obs it is excluded from Fingerprint: the parallel path merges
-	// per-subtree results back in deterministic order, so results are
-	// bit-identical whatever the width.
-	Workers int
 }
 
 // Fingerprint identifies the option fields that change analysis
@@ -134,10 +125,8 @@ func AnalyzeWithOptions(info *ssa.Info, forest *loops.Forest, consts *sccp.Resul
 		a.scr = &classifyScratch{}
 	}
 	span := opts.Obs.Phase("iv")
-	if !a.classifyParallel() {
-		for _, l := range forest.InnerToOuter() {
-			a.classifyLoop(l)
-		}
+	for _, l := range forest.InnerToOuter() {
+		a.classifyLoop(l)
 	}
 	span.End()
 	// Detach the arena: the Analysis outlives the run (it is cached and
@@ -148,9 +137,7 @@ func AnalyzeWithOptions(info *ssa.Info, forest *loops.Forest, consts *sccp.Resul
 }
 
 // classifyLoop runs the full per-loop step — depth check,
-// classification, trip count — recording into the analysis's own
-// recorder, so the same body serves the sequential walk and each
-// parallel worker's shard.
+// classification, trip count — under its own "loop L" span.
 func (a *Analysis) classifyLoop(l *loops.Loop) {
 	guard.Check("iv", "loop depth", int64(l.Depth), int64(a.opts.Limits.MaxLoopDepth))
 	rec := a.opts.Obs

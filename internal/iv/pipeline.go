@@ -57,8 +57,6 @@ func ClassifyPass(opts Options) engine.Pass {
 		o.Obs = st.Obs()
 		o.Limits = st.Lim()
 		o.Scratch = st.Scratch()
-		o.Workers = st.Par()
-		o.Metrics = st.Metrics()
 		st.Put(ArtifactKey, AnalyzeWithOptions(st.SSA, st.Forest, st.Consts, o))
 		return nil
 	}}

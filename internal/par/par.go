@@ -1,8 +1,7 @@
-// Package par is the intra-run fan-out primitive shared by the
-// parallel classification and dependence tiers: a bounded worker pool
-// that forks the phase's recorder per worker, dispatches indexed work
-// units dynamically, and joins with deterministic telemetry and panic
-// semantics.
+// Package par is the intra-run fan-out primitive behind the parallel
+// dependence sweep: a bounded worker pool that forks the phase's
+// recorder per worker, dispatches indexed work units dynamically, and
+// joins with deterministic telemetry and panic semantics.
 //
 // Determinism contract: work(w, wrec, i) must write only worker-local
 // state plus a caller-owned per-index result slot; the caller merges

@@ -203,9 +203,9 @@ func DerivedChain(k int) string {
 // parallel tier's benchmark shape. Each loop carries its own linear,
 // derived and polynomial induction variables plus eight affine
 // subscripted accesses to a loop-private array (~26 testable pairs per
-// loop), so both fan-out axes scale with n: the classifier sees n
-// sibling root subtrees and the dependence tester ~26·n pairs, with no
-// work shared between loops.
+// loop), so the work scales with n: the classifier sees n independent
+// loops and the dependence tester's fan-out ~26·n pairs, with no work
+// shared between loops.
 func Large(n int) string {
 	var sb strings.Builder
 	for r := 0; r < n; r++ {

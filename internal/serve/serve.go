@@ -38,9 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -55,12 +53,11 @@ type Config struct {
 	// Options configure the shared analyzer: cache, guard limits,
 	// batch worker count (Jobs bounds the fan-out *inside* one /v1/batch
 	// request; MaxInFlight bounds requests — total engine concurrency
-	// is at most MaxInFlight × Jobs). Options.Parallel is both the
-	// default intra-run width and the cap on the request body's
-	// "parallel" field (0 caps at GOMAXPROCS); a daemon already running
-	// MaxInFlight requests concurrently usually wants it at 1.
-	// Metrics/Flight set here are also used for the server's own serve.*
-	// counters and gauges.
+	// is at most MaxInFlight × Jobs). Options.Parallel is the intra-run
+	// width of every request's dependence sweep; requests cannot change
+	// it, and a daemon already running MaxInFlight requests
+	// concurrently usually wants it at 1. Metrics/Flight set here are
+	// also used for the server's own serve.* counters and gauges.
 	Options beyondiv.Options
 	// MaxInFlight is the number of requests analyzed concurrently
 	// (worker slots); <= 0 means 4.
@@ -100,13 +97,6 @@ type Server struct {
 	// key: faults are remembered per endpoint and option set, never
 	// shared across them.
 	optFP string
-	// byPar memoizes width-specific sibling analyzers for requests
-	// whose "parallel" differs from the configured default. Siblings
-	// share the default analyzer's cache, metrics and flight recorder
-	// (Parallel stays out of the cache fingerprint — results are
-	// bit-identical at every width).
-	mu    sync.Mutex
-	byPar map[int]*beyondiv.Analyzer
 
 	draining atomic.Bool
 	drainCh  chan struct{} // closed when draining starts
@@ -135,24 +125,15 @@ func New(cfg Config) *Server {
 	if cfg.Options.Metrics == nil {
 		cfg.Options.Metrics = metrics.NewRegistry()
 	}
-	// Materialize a requested private cache so width-specific sibling
-	// analyzers (per-request "parallel") share it instead of each
-	// building their own.
-	if cfg.Options.Cache == nil && cfg.Options.CacheEntries > 0 {
-		cfg.Options.Cache = beyondiv.NewCache(cfg.Options.CacheEntries)
-		cfg.Options.CacheEntries = 0
-	}
-	s := &Server{
+	return &Server{
 		cfg:     cfg,
 		an:      beyondiv.NewAnalyzer(cfg.Options),
 		reg:     cfg.Options.Metrics,
 		adm:     newAdmission(cfg.MaxInFlight, cfg.MaxQueue),
 		poison:  newPoison(cfg.PoisonCapacity),
 		optFP:   cfg.Options.Fingerprint(),
-		byPar:   map[int]*beyondiv.Analyzer{},
 		drainCh: make(chan struct{}),
 	}
-	return s
 }
 
 // Registry returns the metrics registry the server records into.
@@ -225,11 +206,6 @@ type request struct {
 	// TimeoutMS overrides the server's default per-request deadline,
 	// capped at Config.MaxTimeout.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Parallel overrides the server's default intra-run fan-out width
-	// for this request, capped at the server's own configured width
-	// (Config.Options.Parallel; GOMAXPROCS when that is 0). <= 0 keeps
-	// the default. Results are identical at every width.
-	Parallel int `json:"parallel,omitempty"`
 	// Inject (test traffic only; requires Config.AllowInject) makes the
 	// named pipeline phase fail with a contained fault.
 	Inject string `json:"inject,omitempty"`
@@ -415,51 +391,20 @@ func (s *Server) gauges() {
 	s.reg.SetGauge("serve.queue.depth", s.adm.queued.Load())
 }
 
-// analyzer returns the analyzer a request runs on: the shared one, a
-// memoized width-specific sibling when the body asks for a different
-// "parallel", or — for injected test faults — a private uncached
-// analyzer whose named phase panics.
+// analyzer returns the analyzer a request runs on: the shared one, or
+// — for injected test faults — a private uncached analyzer whose named
+// phase panics.
 func (s *Server) analyzer(req *request) *beyondiv.Analyzer {
-	if req.Inject != "" {
-		opts := s.cfg.Options
-		// Faults must not be masked (or cached) — by the in-memory cache or
-		// by the persistent store, either of which could serve a decoded
-		// result without ever reaching the injected phase.
-		opts.Cache, opts.CacheEntries, opts.CacheDir = nil, 0, ""
-		opts.Limits.Inject = guard.PanicIn(req.Inject)
-		opts.Parallel = s.effectiveParallel(req)
-		return beyondiv.NewAnalyzer(opts)
-	}
-	p := s.effectiveParallel(req)
-	if p == s.cfg.Options.Parallel {
+	if req.Inject == "" {
 		return s.an
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	an, ok := s.byPar[p]
-	if !ok {
-		opts := s.cfg.Options
-		opts.Parallel = p
-		an = beyondiv.NewAnalyzer(opts)
-		s.byPar[p] = an
-	}
-	return an
-}
-
-// effectiveParallel resolves a request's intra-run fan-out width:
-// absent or non-positive keeps the server's configured default, and an
-// explicit ask is capped at the server's own width — a client cannot
-// widen the fan-out past what the operator provisioned, mirroring the
-// timeout_ms cap against MaxTimeout.
-func (s *Server) effectiveParallel(req *request) int {
-	if req.Parallel <= 0 {
-		return s.cfg.Options.Parallel
-	}
-	limit := s.cfg.Options.Parallel
-	if limit <= 0 {
-		limit = runtime.GOMAXPROCS(0)
-	}
-	return min(req.Parallel, limit)
+	opts := s.cfg.Options
+	// Faults must not be masked (or cached) — by the in-memory cache or
+	// by the persistent store, either of which could serve a decoded
+	// result without ever reaching the injected phase.
+	opts.CacheEntries, opts.CacheDir = 0, ""
+	opts.Limits.Inject = guard.PanicIn(req.Inject)
+	return beyondiv.NewAnalyzer(opts)
 }
 
 // analyzeResponse is /v1/analyze's 200 body (and the per-source shape

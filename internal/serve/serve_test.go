@@ -134,19 +134,27 @@ func TestErrorTaxonomy(t *testing.T) {
 		})
 	}
 
-	// Unknown body fields are rejected, not silently dropped.
-	resp, err := http.Post(base+"/v1/analyze", "application/json",
-		strings.NewReader(`{"source": "x = 1", "bogus": true}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 400 {
-		t.Errorf("unknown field status = %d, want 400", resp.StatusCode)
+	// Unknown body fields are rejected, not silently dropped. The
+	// intra-run width is the operator's (-parallel), not a body field.
+	for _, body := range []string{
+		`{"source": "x = 1", "bogus": true}`,
+		`{"source": "x = 1", "parallel": 2}`,
+	} {
+		resp, err := http.Post(base+"/v1/analyze", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb errorBody
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != 400 || eb.Kind != "bad_request" {
+			t.Errorf("unknown field %s: got %d/%q (decode err %v), want 400/bad_request", body, resp.StatusCode, eb.Kind, err)
+		}
 	}
 
 	// Wrong method never reaches a handler.
-	if resp, err = http.Get(base + "/v1/analyze"); err != nil {
+	resp, err := http.Get(base + "/v1/analyze")
+	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
