@@ -2,14 +2,16 @@ package depend
 
 import (
 	"beyondiv/internal/ir"
+	"beyondiv/internal/rational"
 )
 
 // dependScratch is the dependence tester's slot in the per-run scratch
 // arena: the value-id-indexed symbol accumulator buildEquation uses to
-// cancel matching symbolic terms. Entries are live only when their gen
-// stamp matches, so starting a new equation is a counter bump instead
-// of a table clear, and a recycled arena can never leak coefficients
-// between pairs or runs.
+// cancel matching symbolic terms, and the exact solvers' buffers.
+// Symbol entries are live only when their gen stamp matches, so
+// starting a new equation is a counter bump instead of a table clear,
+// and a recycled arena can never leak coefficients between pairs or
+// runs.
 type dependScratch struct {
 	symCoeff []int64
 	symGen   []uint32
@@ -17,6 +19,11 @@ type dependScratch struct {
 	// symTouched collects the symbols seen by the current equation, in
 	// first-touch order, so leftovers iterate deterministically.
 	symTouched []*ir.Value
+	// walk is the exact solver's state (see exact.go), reused by every
+	// solve of the run.
+	walk walk
+	// polyB holds testPolynomial's B-side subscript values.
+	polyB []rational.Rat
 }
 
 // beginEquation invalidates all symbol entries and readies the touched

@@ -419,7 +419,7 @@ type variable struct {
 }
 
 // testAffine enumerates direction vectors over the common nest and
-// tests each with the exact enumerator (small constant spaces), the GCD
+// tests each with the exact solver (small constant spaces), the GCD
 // test, and Banerjee-style interval bounds.
 func (t *tester) testAffine(A, B *Access, fa, fb *iv.IterForm, after int) ([]*Dependence, bool) {
 	common := commonLoops(A, B)
@@ -429,18 +429,20 @@ func (t *tester) testAffine(A, B *Access, fa, fb *iv.IterForm, after int) ([]*De
 		return t.assumed(A, B), false
 	}
 
-	// Enumerate direction vectors {<,=,>}^d.
+	// Enumerate direction vectors {<,=,>}^d, one budget step each. A
+	// nest too deep to pay for them all (or for 3^d to fit in int64)
+	// gets the conservative answer instead of a wrapped count.
 	nd := len(common)
-	total := 1
-	for i := 0; i < nd; i++ {
-		total *= 3
+	total, ok := safemath.Pow(3, int64(nd))
+	if c := t.budget.Ceiling(); !ok || c > 0 && total > c {
+		return t.assumed(A, B), false
 	}
 	type found struct {
 		srcA bool // A executes first
 		dirs []Dir
 	}
 	var feasibles []found
-	for mask := 0; mask < total; mask++ {
+	for mask := int64(0); mask < total; mask++ {
 		psi := make([]Dir, nd)
 		m := mask
 		for i := 0; i < nd; i++ {
@@ -485,8 +487,9 @@ func (t *tester) testAffine(A, B *Access, fa, fb *iv.IterForm, after int) ([]*De
 	if len(feasibles) == 0 {
 		return nil, true
 	}
+	text := renderEquation(fa, fb)
 
-	// The exact enumerators can also determine whether all solutions
+	// The exact solvers can also determine whether all solutions
 	// share one distance vector (dst iteration minus src iteration).
 	var distAB []int64
 	haveDist := false
@@ -525,7 +528,7 @@ func (t *tester) testAffine(A, B *Access, fa, fb *iv.IterForm, after int) ([]*De
 			Src: src, Dst: dst, Kind: kindOf(src, dst),
 			Loops: common, Dirs: merged,
 			AfterIterations: after,
-			Equation:        eq.text,
+			Equation:        text,
 			Method:          eq.method,
 		}
 		if haveDist {
@@ -541,82 +544,6 @@ func (t *tester) testAffine(A, B *Access, fa, fb *iv.IterForm, after int) ([]*De
 		out = append(out, dep)
 	}
 	return out, false
-}
-
-// exactDistance enumerates the bounded solution space and reports the
-// common per-loop distance hB - hA when every solution shares it.
-func (t *tester) exactDistance(eq *equation) ([]int64, bool) {
-	nd := len(eq.ca)
-	if nd == 0 || len(eq.per) > 0 {
-		return nil, false
-	}
-	if _, ok := t.boxSize(eq); !ok || !sumBoundOK(eq) {
-		return nil, false
-	}
-
-	ha := make([]int64, nd)
-	hb := make([]int64, nd)
-	solo := make([]int64, len(eq.solos))
-	var dist []int64
-	unique := true
-
-	var recSolo func(k int) bool
-	recSolo = func(k int) bool {
-		if k == len(eq.solos) {
-			sum := int64(0)
-			for i := 0; i < nd; i++ {
-				sum += eq.ca[i]*ha[i] - eq.cb[i]*hb[i]
-			}
-			for i, s := range eq.solos {
-				sum += s.coeff * solo[i]
-			}
-			return sum == eq.rhs
-		}
-		for v := *eq.solos[k].lo; v <= *eq.solos[k].hi; v++ {
-			solo[k] = v
-			if recSolo(k + 1) {
-				return true
-			}
-		}
-		return false
-	}
-	var rec func(dim int)
-	rec = func(dim int) {
-		if !unique {
-			return
-		}
-		if dim == nd {
-			if !recSolo(0) {
-				return
-			}
-			d := make([]int64, nd)
-			for i := 0; i < nd; i++ {
-				d[i] = hb[i] - ha[i]
-			}
-			if dist == nil {
-				dist = d
-				return
-			}
-			for i := range d {
-				if d[i] != dist[i] {
-					unique = false
-					return
-				}
-			}
-			return
-		}
-		for a := int64(0); a <= *eq.ubA[dim]; a++ {
-			for b := int64(0); b <= *eq.ubB[dim]; b++ {
-				ha[dim], hb[dim] = a, b
-				rec(dim + 1)
-				if !unique {
-					return
-				}
-			}
-		}
-	}
-	rec(0)
-	return dist, unique && dist != nil
 }
 
 func flip(d Dir) Dir {
@@ -645,7 +572,6 @@ type equation struct {
 	per []perEq
 	// rhs: the equation is Σ ca·hA - Σ cb·hB + Σ solo = rhs.
 	rhs    int64
-	text   string
 	method string
 }
 
@@ -823,7 +749,6 @@ func (t *tester) buildEquation(A, B *Access, fa, fb *iv.IterForm, common []*loop
 		return nil, false
 	}
 	eq.rhs = rhs
-	eq.text = renderEquation(fa, fb)
 	return eq, true
 }
 
@@ -893,7 +818,7 @@ func gcd(a, b int64) int64 {
 	return a
 }
 
-// feasible tests a direction vector: exact enumeration when the space
+// feasible tests a direction vector: an exact solve when the space
 // is small, otherwise GCD plus Banerjee interval bounds (conservative:
 // may say yes when no solution exists, never the reverse).
 func (t *tester) feasible(eq *equation, common []*loops.Loop, psi []Dir) bool {
@@ -906,7 +831,7 @@ func (t *tester) feasible(eq *equation, common []*loops.Loop, psi []Dir) bool {
 		ok, _, _ := t.deltaSolve(eq, psi)
 		return ok
 	}
-	if ok, exact := t.exactFeasible(eq, psi); exact {
+	if ok, exact := t.exactSolve(eq, psi, nil); exact {
 		return ok
 	}
 	eq.method = "gcd+banerjee"
@@ -1098,7 +1023,7 @@ func mulCap(size, n, cap int64) (int64, bool) {
 
 // boxSize computes the equation's enumeration-box size. ok=false means
 // the box is unbounded, or its size overflows or exceeds the exact
-// ceiling; the enumerators must then decline (the unchecked version of
+// ceiling; the exact solver must then decline (the unchecked version of
 // this product could wrap to a small positive number and license an
 // effectively unbounded enumeration — a denial of service). A size of
 // zero means some dimension is genuinely empty.
@@ -1138,11 +1063,11 @@ func (t *tester) boxSize(eq *equation) (int64, bool) {
 	return size, true
 }
 
-// sumBoundOK reports whether every partial sum the enumerators compute
+// sumBoundOK reports whether every partial sum the exact solvers compute
 // over the equation's box provably fits in int64, so their inner loops
 // can use raw arithmetic. The bound is Σ |c|·max|var| over every term;
 // any overflow while computing the bound itself counts as "not provably
-// safe" and the enumerators decline.
+// safe" and the solvers decline.
 func sumBoundOK(eq *equation) bool {
 	total := int64(0)
 	add := func(c, ub int64) bool {
@@ -1186,77 +1111,6 @@ func sumBoundOK(eq *equation) bool {
 		}
 	}
 	return true
-}
-
-// exactFeasible enumerates the full iteration box when it is small and
-// fully bounded with no symbolic variables. Returns (answer, applied).
-func (t *tester) exactFeasible(eq *equation, psi []Dir) (bool, bool) {
-	size, ok := t.boxSize(eq)
-	if !ok || !sumBoundOK(eq) {
-		return false, false
-	}
-	if size == 0 {
-		return false, true // an empty dimension: nothing ever executes
-	}
-	eq.method = "exact"
-
-	nd := len(eq.ca)
-	ha := make([]int64, nd)
-	hb := make([]int64, nd)
-	solo := make([]int64, len(eq.solos))
-
-	var rec func(dim int) bool
-	var evalSolo func(k int) bool
-	evalSolo = func(k int) bool {
-		if k == len(eq.solos) {
-			// Evaluate the equation.
-			sum := int64(0)
-			for i := 0; i < nd; i++ {
-				sum += eq.ca[i]*ha[i] - eq.cb[i]*hb[i]
-			}
-			for i, s := range eq.solos {
-				sum += s.coeff * solo[i]
-			}
-			return sum == eq.rhs
-		}
-		for v := *eq.solos[k].lo; v <= *eq.solos[k].hi; v++ {
-			solo[k] = v
-			if evalSolo(k + 1) {
-				return true
-			}
-		}
-		return false
-	}
-	rec = func(dim int) bool {
-		if dim == nd {
-			return evalSolo(0)
-		}
-		uA, uB := *eq.ubA[dim], *eq.ubB[dim]
-		for a := int64(0); a <= uA; a++ {
-			for b := int64(0); b <= uB; b++ {
-				switch psi[dim] {
-				case DirLT:
-					if !(a < b) {
-						continue
-					}
-				case DirEQ:
-					if a != b {
-						continue
-					}
-				case DirGT:
-					if !(a > b) {
-						continue
-					}
-				}
-				ha[dim], hb[dim] = a, b
-				if rec(dim + 1) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	return rec(0), true
 }
 
 // ---- polynomial subscripts (§6's pointer to [Ban76]) ----
@@ -1310,16 +1164,24 @@ func (t *tester) testPolynomial(A, B *Access, ca, cb *iv.Classification) ([]*Dep
 		dist int64
 	}
 	var rels []rel
+	// B's values are evaluated once, and only when some h1 runs: with
+	// no A iteration the pair is independent even if B's fail.
+	vb := t.scr.polyB[:0]
+	for h2 := int64(0); h2 <= *ubB && *ubA >= 0; h2++ {
+		v2, ok2 := cb.PolyEval(h2)
+		if !ok2 {
+			return nil, false
+		}
+		vb = append(vb, v2)
+	}
+	t.scr.polyB = vb
 	for h1 := int64(0); h1 <= *ubA; h1++ {
 		v1, ok1 := ca.PolyEval(h1)
 		if !ok1 {
 			return nil, false
 		}
-		for h2 := int64(0); h2 <= *ubB; h2++ {
-			v2, ok2 := cb.PolyEval(h2)
-			if !ok2 {
-				return nil, false
-			}
+		for h2, v2 := range vb {
+			h2 := int64(h2)
 			if !v1.Equal(v2) {
 				continue
 			}
@@ -1490,7 +1352,7 @@ func (t *tester) feasibleWithSlots(eq *equation, psi []Dir) bool {
 // (delta with derived distance residues, then GCD+Banerjee ignoring the
 // residues — both sound over-approximations).
 func (t *tester) feasibleMods(eq *equation, psi []Dir, mods []modConstraint) bool {
-	if ok, exact := t.exactFeasibleMods(eq, psi, mods); exact {
+	if ok, exact := t.exactSolve(eq, psi, mods); exact {
 		return ok
 	}
 	if t.deltaApplicable(eq) {
@@ -1541,89 +1403,6 @@ func (t *tester) feasibleMods(eq *equation, psi []Dir, mods []modConstraint) boo
 		return false
 	}
 	return true
-}
-
-// exactFeasibleMods is exactFeasible with per-side residue filters.
-func (t *tester) exactFeasibleMods(eq *equation, psi []Dir, mods []modConstraint) (bool, bool) {
-	nd := len(eq.ca)
-	size, ok := t.boxSize(eq)
-	if !ok || !sumBoundOK(eq) {
-		return false, false
-	}
-	if size == 0 {
-		return false, true // an empty dimension: nothing ever executes
-	}
-
-	okMod := func(dim int, side int, h int64) bool {
-		for _, m := range mods {
-			if m.dim == dim && m.side == side {
-				if int((h%int64(m.p)+int64(m.p))%int64(m.p)) != m.residue {
-					return false
-				}
-			}
-		}
-		return true
-	}
-
-	ha := make([]int64, nd)
-	hb := make([]int64, nd)
-	solo := make([]int64, len(eq.solos))
-	var recSolo func(k int) bool
-	recSolo = func(k int) bool {
-		if k == len(eq.solos) {
-			sum := int64(0)
-			for i := 0; i < nd; i++ {
-				sum += eq.ca[i]*ha[i] - eq.cb[i]*hb[i]
-			}
-			for i, s := range eq.solos {
-				sum += s.coeff * solo[i]
-			}
-			return sum == eq.rhs
-		}
-		for v := *eq.solos[k].lo; v <= *eq.solos[k].hi; v++ {
-			solo[k] = v
-			if recSolo(k + 1) {
-				return true
-			}
-		}
-		return false
-	}
-	var rec func(dim int) bool
-	rec = func(dim int) bool {
-		if dim == nd {
-			return recSolo(0)
-		}
-		for a := int64(0); a <= *eq.ubA[dim]; a++ {
-			if !okMod(dim, 0, a) {
-				continue
-			}
-			for b := int64(0); b <= *eq.ubB[dim]; b++ {
-				if !okMod(dim, 1, b) {
-					continue
-				}
-				switch psi[dim] {
-				case DirLT:
-					if !(a < b) {
-						continue
-					}
-				case DirEQ:
-					if a != b {
-						continue
-					}
-				case DirGT:
-					if !(a > b) {
-						continue
-					}
-				}
-				ha[dim], hb[dim] = a, b
-				if rec(dim + 1) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	return rec(0), true
 }
 
 // deltaSolveUnified is the distance-space enumerator behind deltaSolve

@@ -237,6 +237,10 @@ type optimizer struct {
 	annotated  bool // a TierMark pass attached marks (st.extra differs from orig's)
 	reordered  bool // a Reorders pass fired; trace validation is per-cell now
 
+	// truth is the original's validation outcomes, run once per grid
+	// point for the whole Optimize.
+	truth *validate.Baseline
+
 	stats       []PassStat
 	rewrites    int
 	validations int
@@ -467,11 +471,14 @@ func (r *optimizer) validate(pass string) error {
 	if ins != nil {
 		t0 = time.Now()
 	}
-	opts := r.e.cfg.Validate
+	order := r.e.cfg.Validate.Order
 	if r.reordered {
-		opts.Order = validate.PerCellOrder
+		order = validate.PerCellOrder
 	}
-	err := validate.Funcs(r.orig.SSA, r.st.SSA, opts)
+	if r.truth == nil {
+		r.truth = validate.NewBaseline(r.orig.SSA, r.e.cfg.Validate)
+	}
+	err := r.truth.Check(r.st.SSA, order)
 	if ins != nil {
 		ins.pass("validate", time.Since(t0))
 		ins.count("engine.opt.validations")

@@ -249,6 +249,26 @@ func (b *Budget) Steps(n int64) {
 	}
 }
 
+// Ceiling returns the most steps the budget can ever grant: the least of
+// its per-phase limit and the totals of the pools it draws, or 0 when
+// nothing bounds it. A phase checks work it would meter step by step
+// against it up front, to answer conservatively instead of running into
+// a limit it could never pass. Configured totals, unlike what is left,
+// are the same at every parallel width and batch interleaving, so the
+// answer is too.
+func (b *Budget) Ceiling() int64 {
+	if b == nil {
+		return 0
+	}
+	c := b.limit
+	for p := b.pool; p != nil; p = p.parent {
+		if c <= 0 || p.limit < c {
+			c = p.limit
+		}
+	}
+	return c
+}
+
 // Pool is a concurrency-safe shared work budget: a batch of analyses
 // draws every phase step from one pool in addition to the per-phase
 // countdowns, bounding the batch's total work. A nil Pool is unlimited.

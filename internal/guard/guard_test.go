@@ -138,6 +138,35 @@ func TestPoolNilAndZero(t *testing.T) {
 	b.Steps(9) // only the per-phase ceiling applies
 }
 
+// TestBudgetCeiling: the ceiling is the least configured total along
+// the budget's per-phase limit and pool chain — the same whether the
+// phase counts down alone or shares a sub-pool across workers — and 0
+// when nothing bounds the budget.
+func TestBudgetCeiling(t *testing.T) {
+	batch := NewPool(300)
+	cases := []struct {
+		name string
+		lim  Limits
+		want int64
+	}{
+		{"unchecked", Limits{}, 0},
+		{"per-phase", Limits{MaxPhaseSteps: 500}, 500},
+		{"batch pool below phase", Limits{MaxPhaseSteps: 500, Pool: batch}, 300},
+		{"shared phase", Limits{MaxPhaseSteps: 500, Pool: batch}.ShareSteps(), 300},
+		{"shared phase below batch", Limits{MaxPhaseSteps: 200, Pool: batch}.ShareSteps(), 200},
+		{"pool only", Limits{Pool: batch}, 300},
+	}
+	for _, c := range cases {
+		if got := c.lim.Budget("depend").Ceiling(); got != c.want {
+			t.Errorf("%s: Ceiling() = %d, want %d", c.name, got, c.want)
+		}
+	}
+	var nilBudget *Budget
+	if nilBudget.Ceiling() != 0 {
+		t.Error("nil budget must have no ceiling")
+	}
+}
+
 // TestPoolConcurrentTake: concurrent draws never let total consumption
 // exceed the pool (run with -race).
 func TestPoolConcurrentTake(t *testing.T) {

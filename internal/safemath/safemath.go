@@ -79,6 +79,16 @@ func Mul(a, b int64) (int64, bool) {
 	return v, true
 }
 
+// Div returns a / b, truncated toward zero like Go's /, and whether the
+// quotient is representable: b = 0 has none, and MinInt64 / -1 = 2^63
+// does not fit.
+func Div(a, b int64) (int64, bool) {
+	if b == 0 || (a == MinInt64 && b == -1) {
+		return 0, false
+	}
+	return a / b, true
+}
+
 // Pow returns x**k by overflow-checked square-and-multiply and whether
 // the power is representable. k must be nonnegative; negative k reports
 // failure (the mini language's x**k semantics for k < 0 are the

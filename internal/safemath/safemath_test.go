@@ -43,6 +43,24 @@ func TestAddSubMulAgainstBig(t *testing.T) {
 	}
 }
 
+func TestDivAgainstBig(t *testing.T) {
+	for _, a := range interesting {
+		for _, b := range interesting {
+			got, ok := Div(a, b)
+			if b == 0 {
+				if ok {
+					t.Fatalf("Div(%d, 0) reported a quotient", a)
+				}
+				continue
+			}
+			want := new(big.Int).Quo(big.NewInt(a), big.NewInt(b))
+			if ok != fits(want) || (ok && got != want.Int64()) {
+				t.Fatalf("Div(%d, %d) = %d, %v; want %s", a, b, got, ok, want)
+			}
+		}
+	}
+}
+
 func TestNegAbs(t *testing.T) {
 	for _, a := range interesting {
 		want := new(big.Int).Neg(big.NewInt(a))

@@ -93,6 +93,42 @@ func (o Options) maxSteps() int {
 // equivalence, or an error naming the first diverging assignment and
 // observation.
 func Funcs(orig, xf *ssa.Info, opts Options) error {
+	return NewBaseline(orig, opts).Check(xf, opts.Order)
+}
+
+// keepWrites caps the store-trace entries a Baseline keeps over all its
+// grid points, about 8 MB. A point whose trace would pass it is run
+// again at each check instead of kept, so a store-heavy program holds
+// one trace at a time, as a lone Funcs call does, not one per point.
+const keepWrites = 1 << 18
+
+// Baseline is the original program's side of translation validation:
+// its outcome at each grid point — final scalars and store trace, a
+// failure, or no ground truth past the step budget — computed when a
+// check first needs it and kept for later checks. Checking every
+// rewrite of one program against one Baseline runs the unchanged
+// original once per grid point instead of once per check. The original
+// must not change while the Baseline is in use, and a Baseline is for
+// one goroutine at a time.
+type Baseline struct {
+	orig   *ssa.Info
+	names  []string
+	grid   []int64
+	steps  int
+	points []outcome // one per tried assignment
+	kept   int       // store-trace entries held across points
+}
+
+// outcome is the original's result at one grid point.
+type outcome struct {
+	done bool
+	want *interp.Result // nil with a nil err: no ground truth
+	err  error
+}
+
+// NewBaseline returns the Baseline of orig over opts' grid; it runs
+// nothing until a check does.
+func NewBaseline(orig *ssa.Info, opts Options) *Baseline {
 	names := make([]string, 0, len(orig.Params))
 	for n := range orig.Params {
 		names = append(names, n)
@@ -110,33 +146,61 @@ func Funcs(orig, xf *ssa.Info, opts Options) error {
 	if runs > opts.maxRuns() {
 		runs = opts.maxRuns()
 	}
+	return &Baseline{orig: orig, names: names, grid: grid, steps: opts.maxSteps(), points: make([]outcome, runs)}
+}
 
+// Check is Funcs against the Baseline's original, comparing store
+// traces under order.
+func (b *Baseline) Check(xf *ssa.Info, order TraceOrder) error {
 	params := map[string]int64{}
-	for r := 0; r < runs; r++ {
+	for r := range b.points {
 		// Mixed-radix enumeration: run r assigns digit (r / len^i) % len
 		// of the grid to parameter i — deterministic, and the first run
 		// is all-grid[0].
 		x := r
-		for _, n := range names {
-			params[n] = grid[x%len(grid)]
-			x /= len(grid)
+		for _, n := range b.names {
+			params[n] = b.grid[x%len(b.grid)]
+			x /= len(b.grid)
 		}
-		if err := compareOnce(orig, xf, params, opts.maxSteps(), opts.Order); err != nil {
-			return fmt.Errorf("validate: params %v: %w", fmtParams(names, params), err)
+		want, err := b.truth(r, params)
+		if err == nil && want != nil {
+			err = compareWith(want, xf, params, b.steps, order)
+		}
+		if err != nil {
+			return fmt.Errorf("validate: params %v: %w", fmtParams(b.names, params), err)
 		}
 	}
 	return nil
 }
 
-// compareOnce runs both programs under one parameter assignment.
-func compareOnce(orig, xf *ssa.Info, params map[string]int64, maxSteps int, order TraceOrder) error {
-	want, err := interp.RunSSA(orig, interp.Config{Params: params, MaxSteps: maxSteps})
-	if errors.Is(err, interp.ErrStepLimit) {
-		return nil // no ground truth under this assignment
+// truth returns the original's outcome at grid point r, running it on
+// first use.
+func (b *Baseline) truth(r int, params map[string]int64) (*interp.Result, error) {
+	if o := b.points[r]; o.done {
+		return o.want, o.err
 	}
-	if err != nil {
-		return fmt.Errorf("original program failed: %w", err)
+	o := outcome{done: true}
+	want, err := interp.RunSSA(b.orig, interp.Config{Params: params, MaxSteps: b.steps})
+	switch {
+	case errors.Is(err, interp.ErrStepLimit):
+		// no ground truth under this assignment
+	case err != nil:
+		o.err = fmt.Errorf("original program failed: %w", err)
+	default:
+		o.want = want
 	}
+	if o.want == nil || b.kept+len(o.want.Writes) <= keepWrites {
+		b.points[r] = o
+		if o.want != nil {
+			b.kept += len(o.want.Writes)
+		}
+	}
+	return o.want, o.err
+}
+
+// compareWith runs the transformed program under one parameter
+// assignment and compares it with the original's outcome there.
+func compareWith(want *interp.Result, xf *ssa.Info, params map[string]int64, maxSteps int, order TraceOrder) error {
 	// The transformed program gets slack: added instructions (peeled
 	// bodies, normalization restores) must not fail validation on budget
 	// alone, while introduced non-termination still surfaces.

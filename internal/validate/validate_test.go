@@ -114,3 +114,85 @@ func TestFuncsGridCap(t *testing.T) {
 		t.Fatal("divergence within capped runs not caught")
 	}
 }
+
+// TestBaselineMatchesFuncs: one Baseline checked against a series of
+// transformed programs — as an Optimize run checks each rewrite — gives
+// exactly the answer a fresh Funcs call gives for each, in either
+// trace order, including grid points where the original has no ground
+// truth (step limit).
+func TestBaselineMatchesFuncs(t *testing.T) {
+	cases := []struct {
+		orig string
+		xfs  []string
+		opts validate.Options
+	}{
+		{
+			orig: `
+	j = 0
+	for i = 1 to n {
+		j = j + i
+		a[j] = i
+	}
+	`,
+			xfs: []string{
+				`j = 0
+	for i = 1 to n { j = j + i
+		a[j] = i }`,
+				`j = 0
+	for i = 1 to n { j = j + i
+		a[j + 1] = i }`,
+				`j = 0
+	for i = 1 to n { j = j + 2 }`,
+				`for i = 1 to n { a[i] = i }`,
+			},
+		},
+		{
+			// The original passes the step budget for large n only.
+			orig: `for i = 1 to n { for k = 1 to n { b[k] = i } }`,
+			xfs: []string{
+				`for k = 1 to n { for i = 1 to n { b[k] = i } }`,
+				`for i = 1 to n { for k = 1 to n { b[k] = i } }`,
+			},
+			opts: validate.Options{MaxSteps: 200},
+		},
+	}
+	errString := func(err error) string {
+		if err == nil {
+			return "<nil>"
+		}
+		return err.Error()
+	}
+	for _, c := range cases {
+		orig := buildSSA(t, c.orig)
+		b := validate.NewBaseline(orig, c.opts)
+		for round := 0; round < 2; round++ {
+			for _, src := range c.xfs {
+				xf := buildSSA(t, src)
+				for _, order := range []validate.TraceOrder{validate.ExactOrder, validate.PerCellOrder} {
+					opts := c.opts
+					opts.Order = order
+					want := errString(validate.Funcs(orig, xf, opts))
+					if got := errString(b.Check(xf, order)); got != want {
+						t.Errorf("%q vs %q (order %d, round %d): Baseline %s, Funcs %s",
+							c.orig, src, order, round, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBaselineLongTrace: a trace longer than a Baseline keeps is run
+// again at the next check, with the same verdicts.
+func TestBaselineLongTrace(t *testing.T) {
+	src := `for i = 1 to 270000 { a[i] = i }`
+	orig := buildSSA(t, src)
+	b := validate.NewBaseline(orig, validate.Options{MaxSteps: 10_000_000})
+	if err := b.Check(buildSSA(t, src), validate.ExactOrder); err != nil {
+		t.Fatalf("identical program reported divergent: %v", err)
+	}
+	err := b.Check(buildSSA(t, `for i = 1 to 270000 { a[i] = i + 1 }`), validate.ExactOrder)
+	if err == nil || !strings.Contains(err.Error(), "store 0 differs") {
+		t.Fatalf("divergent store on the re-run not caught: %v", err)
+	}
+}

@@ -1,6 +1,8 @@
 package beyondiv
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"beyondiv/internal/depend"
@@ -131,5 +133,35 @@ L1: for i = 1 to 10 {
 	}
 	if p.Deps.Independent > 1 {
 		t.Errorf("claimed %d independent pairs, at most the self-pair (1) is provable", p.Deps.Independent)
+	}
+}
+
+// TestOverflowDirectionCountDeepNest: the affine test tries all 3^d
+// direction vectors of a d-deep common nest, one budget step each. At
+// d = 40, 3^40 leaves int64 (a wrapped count once tested no direction
+// and proved both pairs independent); at d = 39 it fits but no step
+// budget pays for it (the run once went past two minutes). Both must
+// answer at once with the conservative assumed dependences.
+func TestOverflowDirectionCountDeepNest(t *testing.T) {
+	for _, depth := range []int{39, 40} {
+		var sb strings.Builder
+		for k := 1; k <= depth; k++ {
+			fmt.Fprintf(&sb, "for i%d = 1 to 2 {\n", k)
+		}
+		fmt.Fprintf(&sb, "a[i%d] = a[i%d - 1] + 1\n", depth, depth)
+		sb.WriteString(strings.Repeat("}\n", depth))
+		p, err := AnalyzeWith(sb.String(), Options{})
+		if err != nil {
+			t.Fatalf("depth %d: Analyze: %v", depth, err)
+		}
+		if p.Deps.Independent != 0 || len(p.Deps.Deps) == 0 {
+			t.Fatalf("depth %d: %d pairs proven independent; report:\n%s",
+				depth, p.Deps.Independent, p.DependenceReport())
+		}
+		for _, d := range p.Deps.Deps {
+			if d.Method != "assumed" {
+				t.Errorf("depth %d: %s, want every dependence assumed", depth, d)
+			}
+		}
 	}
 }
