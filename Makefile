@@ -91,6 +91,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzRun -fuzztime $(FUZZTIME) -run '^$$' .
 	$(GO) test -fuzz FuzzArtifactCodec -fuzztime $(FUZZTIME) -run '^$$' ./internal/codec/
 	$(GO) test -fuzz FuzzExactSolve -fuzztime $(FUZZTIME) -run '^$$' ./internal/depend/
+	$(GO) test -fuzz FuzzVerdictKey -fuzztime $(FUZZTIME) -run '^$$' ./internal/depend/
 
 clean:
 	$(GO) clean ./...

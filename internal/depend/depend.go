@@ -46,13 +46,15 @@ type Access struct {
 	// Per-access test setup, derived once by the tester and reused
 	// across the O(pairs) loop: the subscript classification, its
 	// wrap-around-unwrapped refinement with the §6 after-iterations
-	// order, and the affine iteration form.
+	// order, the affine iteration form, and the form's text as either
+	// side of a dependence equation (see equationSide).
 	cls       *iv.Classification
 	unwrapped *iv.Classification
 	after     int
 	form      *iv.IterForm
 	clsDone   bool
 	formDone  bool
+	text      [2]string
 }
 
 // String renders e.g. "a[i2] (write at b3)".
@@ -62,6 +64,21 @@ func (ac *Access) String() string {
 		kind = "write"
 	}
 	return fmt.Sprintf("%s[%s] (%s %s)", ac.Array, ac.Value.Args[0], kind, ac.Value)
+}
+
+// equationSide renders the access's iteration form as side A (0) or B
+// (1) of a dependence equation, B's counters primed: "1 + h(L1)" and
+// "1 + h'(L1)". Memoized, so each access renders once per run however
+// many dependent pairs it joins; the form must already be derived.
+func (ac *Access) equationSide(side int) string {
+	if ac.text[side] == "" {
+		if side == 0 {
+			ac.text[0] = ac.form.String()
+		} else {
+			ac.text[1] = strings.ReplaceAll(ac.equationSide(0), "h(", "h'(")
+		}
+	}
+	return ac.text[side]
 }
 
 // Dir is a set of iteration-order relations between source and sink.
@@ -190,6 +207,12 @@ type Result struct {
 	Deps     []*Dependence
 	// Independent counts pairs proven dependence-free.
 	Independent int
+
+	// verdicts is this run's affine verdict table, keyed by equation
+	// (verdict.go); the next analysis of the program reads it. Nil
+	// when the run tested no affine equation; immutable once Analyze
+	// returns.
+	verdicts map[string]*verdict
 }
 
 // Options configure the analysis.
@@ -240,6 +263,12 @@ func (o Options) maxExact() int {
 
 // Analyze runs dependence testing over every array-reference pair.
 func Analyze(a *iv.Analysis, opts Options) *Result {
+	return analyzeAfter(a, opts, nil)
+}
+
+// analyzeAfter is Analyze reusing the affine verdicts of prev, the result
+// this one replaces (nil: none).
+func analyzeAfter(a *iv.Analysis, opts Options, prev *Result) *Result {
 	rec := opts.Obs
 	span := rec.Phase("depend")
 	defer span.End()
@@ -261,20 +290,29 @@ func Analyze(a *iv.Analysis, opts Options) *Result {
 	sort.Strings(arrays)
 
 	tester := &tester{a: a, opts: opts, budget: opts.Limits.Budget("depend")}
+	if prev != nil {
+		tester.prev = prev.verdicts
+	}
 	if opts.Scratch != nil {
 		tester.scr = scratch.Get[dependScratch](&opts.Scratch.Depend)
 		tester.opts.Scratch = nil // the Result must never retain the arena
 	} else {
 		tester.scr = &dependScratch{}
 	}
-	if testParallel(r, tester, byArray, arrays) {
-		return r
+	if !testParallel(r, tester, byArray, arrays) {
+		testSequential(r, tester, byArray, arrays)
 	}
+	r.verdicts = tester.verdicts
+	return r
+}
+
+// testSequential runs the pair sweep on the calling goroutine.
+func testSequential(r *Result, tester *tester, byArray map[string][]*Access, arrays []string) {
 	for _, name := range arrays {
 		list := byArray[name]
 		for i := 0; i < len(list); i++ {
 			for j := i; j < len(list); j++ {
-				if skipPair(list[i], list[j], i == j, opts) {
+				if skipPair(list[i], list[j], i == j, tester.opts) {
 					continue
 				}
 				deps, independent := tester.testPair(list[i], list[j])
@@ -285,7 +323,6 @@ func Analyze(a *iv.Analysis, opts Options) *Result {
 			}
 		}
 	}
-	return r
 }
 
 // skipPair is the pair-sweep admission rule shared by the sequential

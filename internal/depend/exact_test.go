@@ -232,7 +232,12 @@ func TestExactWalkerMatchesReference(t *testing.T) {
 // planted at a point of the box. Every value is bounded, and no solo
 // bound reaches MaxInt64 (the reference's v++ loop never ends there).
 func exactCase(data []byte) (eq *equation, psi []Dir, mods []modConstraint, maxExact int) {
-	next := func() int {
+	return decodeCase(byteStream(data))
+}
+
+// byteStream hands out data's bytes in order, then zeros.
+func byteStream(data []byte) func() int {
+	return func() int {
 		if len(data) == 0 {
 			return 0
 		}
@@ -240,6 +245,11 @@ func exactCase(data []byte) (eq *equation, psi []Dir, mods []modConstraint, maxE
 		data = data[1:]
 		return int(b)
 	}
+}
+
+// decodeCase is exactCase reading from a byte stream, so a caller can
+// decode more fields after the case.
+func decodeCase(next func() int) (eq *equation, psi []Dir, mods []modConstraint, maxExact int) {
 	pick := func(n int) int { return next() % n }
 	// One draw in eight takes the large or extreme table.
 	small := []int64{0, 1, -1, 2, -2, 3, -3, 5, -7}

@@ -1,6 +1,8 @@
 package depend
 
 import (
+	"maps"
+
 	"beyondiv/internal/obs"
 	"beyondiv/internal/par"
 	"beyondiv/internal/scratch"
@@ -21,18 +23,19 @@ const parChunkPairs = 16
 //
 // Determinism: the coordinator first prewarms, sequentially, every
 // per-access memo the tests share — the postdominator tree, subscript
-// classifications (with wrap-around unwrapping) and iteration forms.
-// Those derivations are the only writes pair testing ever makes to
-// the iv.Analysis (lazy exit-value caching) and to the accesses
-// themselves, and they are observationally silent: no budget steps,
-// no counters, no provenance events, in both paths. After the
-// prewarm, workers only read shared state; each worker owns its own
+// classifications (with wrap-around unwrapping), iteration forms and
+// their equation text. Those derivations are the only writes pair
+// testing ever makes to the iv.Analysis (lazy exit-value caching) and
+// to the accesses themselves, and they are observationally silent: no
+// budget steps, no counters, no provenance events, in both paths.
+// After the prewarm, workers only read shared state, the previous
+// result's verdict table included; each worker owns its own
 // gen-stamped equation scratch (from a pooled arena), its own budget
-// drawing the shared phase sub-pool, and a recorder fork. Per-pair
-// results land in a slot indexed by the canonical pair enumeration —
-// array name, then (a.Order, b.Order) — and merge back in that order,
-// so Deps and Independent come out byte-identical to the sequential
-// sweep.
+// drawing the shared phase sub-pool, a recorder fork and a verdict
+// table, merged into the run's after the join. Per-pair results land
+// in a slot indexed by the canonical pair enumeration — array name,
+// then (a.Order, b.Order) — and merge back in that order, so Deps and
+// Independent come out byte-identical to the sequential sweep.
 func testParallel(r *Result, t *tester, byArray map[string][]*Access, arrays []string) bool {
 	workers := t.opts.Workers
 	if workers <= 1 {
@@ -70,7 +73,10 @@ func testParallel(r *Result, t *tester, byArray map[string][]*Access, arrays []s
 	t.postDom()
 	for _, ac := range r.Accesses {
 		t.subscriptClass(ac)
-		t.formOf(ac, ac.unwrapped)
+		if t.formOf(ac, ac.unwrapped) != nil {
+			ac.equationSide(0)
+			ac.equationSide(1)
+		}
 	}
 
 	chunks := (n + parChunkPairs - 1) / parChunkPairs
@@ -78,10 +84,11 @@ func testParallel(r *Result, t *tester, byArray map[string][]*Access, arrays []s
 		workers = chunks
 	}
 
-	// Per-worker testers: shared analysis, postdominators and options;
-	// private budget, equation scratch and recorder. Worker 0 reuses
-	// the run's own scratch (idle during the fan-out); the rest draw
-	// arenas from the engine pool and return them when the sweep joins.
+	// Per-worker testers: shared analysis, postdominators, options and
+	// previous verdicts; private budget, equation scratch, recorder and
+	// verdict table. Worker 0 reuses the run's own scratch (idle during
+	// the fan-out); the rest draw arenas from the engine pool and return
+	// them when the sweep joins.
 	lim := t.opts.Limits.ShareSteps()
 	pool := t.opts.Scratch.Owner()
 	wts := make([]*tester, workers)
@@ -95,7 +102,7 @@ func testParallel(r *Result, t *tester, byArray map[string][]*Access, arrays []s
 		wopts := t.opts
 		wopts.Limits = lim
 		wopts.Scratch = nil
-		wt := &tester{a: t.a, opts: wopts, budget: lim.Budget("depend"), pdom: t.pdom}
+		wt := &tester{a: t.a, opts: wopts, budget: lim.Budget("depend"), pdom: t.pdom, prev: t.prev}
 		if w == 0 {
 			wt.scr = t.scr
 		} else {
@@ -136,6 +143,14 @@ func testParallel(r *Result, t *tester, byArray map[string][]*Access, arrays []s
 		if indep[i] {
 			r.Independent++
 		}
+	}
+	// Equal keys hold equal verdicts, so the merge order is immaterial.
+	for _, wt := range wts {
+		if t.verdicts == nil {
+			t.verdicts = wt.verdicts
+			continue
+		}
+		maps.Copy(t.verdicts, wt.verdicts)
 	}
 	return true
 }

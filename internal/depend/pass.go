@@ -12,7 +12,9 @@ const ArtifactKey = "depend"
 // Pass contributes the §6 dependence analysis to an engine pipeline.
 // It consumes the classification stored by iv.ClassifyPass and stores
 // the *Result under ArtifactKey, rethreading the run's recorder,
-// limits, and scratch arena like every engine pass.
+// limits, and scratch arena like every engine pass. A re-analysis
+// (the engine rerunning the pass after a transform) reuses the affine
+// verdicts of the Result it replaces.
 func Pass(opts Options) engine.Pass {
 	return engine.Pass{Name: "depend", Run: func(st *engine.State) error {
 		o := opts
@@ -21,7 +23,7 @@ func Pass(opts Options) engine.Pass {
 		o.Scratch = st.Scratch()
 		o.Workers = st.Par()
 		o.Metrics = st.Metrics()
-		st.Put(ArtifactKey, Analyze(iv.AnalysisOf(st), o))
+		st.Put(ArtifactKey, analyzeAfter(iv.AnalysisOf(st), o, ResultOf(st)))
 		return nil
 	}}
 }

@@ -24,6 +24,8 @@ type dependScratch struct {
 	walk walk
 	// polyB holds testPolynomial's B-side subscript values.
 	polyB []rational.Rat
+	// key holds the verdict key of the equation being tested.
+	key []byte
 }
 
 // beginEquation invalidates all symbol entries and readies the touched

@@ -3,7 +3,6 @@ package depend
 import (
 	"fmt"
 	"slices"
-	"strings"
 
 	"beyondiv/internal/dom"
 	"beyondiv/internal/guard"
@@ -31,6 +30,13 @@ type tester struct {
 	pdom *dom.Tree
 	// scr holds the reusable equation-building tables for this run.
 	scr *dependScratch
+	// prev is the verdict table of the Result this run replaces (nil
+	// on a first analysis). Every worker reads it; nothing writes it.
+	prev map[string]*verdict
+	// verdicts collects this run's verdicts, made on first use. A
+	// parallel sweep's workers collect their own, merged into the
+	// coordinator's after the join; the Result keeps the coordinator's.
+	verdicts map[string]*verdict
 }
 
 // postDom lazily builds the postdominator tree.
@@ -418,9 +424,10 @@ type variable struct {
 	lo, hi *int64
 }
 
-// testAffine enumerates direction vectors over the common nest and
-// tests each with the exact solver (small constant spaces), the GCD
-// test, and Banerjee-style interval bounds.
+// testAffine decides the pair from its dependence equation. The
+// verdict (see verdict.go) comes from the previous analysis's table
+// when it holds the equation, and from solveAffine otherwise; either
+// way it joins this run's table.
 func (t *tester) testAffine(A, B *Access, fa, fb *iv.IterForm, after int) ([]*Dependence, bool) {
 	common := commonLoops(A, B)
 
@@ -429,19 +436,78 @@ func (t *tester) testAffine(A, B *Access, fa, fb *iv.IterForm, after int) ([]*De
 		return t.assumed(A, B), false
 	}
 
-	// Enumerate direction vectors {<,=,>}^d, one budget step each. A
-	// nest too deep to pay for them all (or for 3^d to fit in int64)
-	// gets the conservative answer instead of a wrapped count.
+	// One budget step per direction vector of {<,=,>}^d. A nest too
+	// deep to pay for them all (or for 3^d to fit in int64) gets the
+	// conservative answer instead of a wrapped count.
 	nd := len(common)
 	total, ok := safemath.Pow(3, int64(nd))
 	if c := t.budget.Ceiling(); !ok || c > 0 && total > c {
 		return t.assumed(A, B), false
 	}
-	type found struct {
-		srcA bool // A executes first
-		dirs []Dir
+	same, aFirst := A == B, A.Order <= B.Order
+	t.scr.key = appendVerdictKey(t.scr.key[:0], eq, same, aFirst, t.opts.maxExact())
+	v := t.prev[string(t.scr.key)]
+	if v != nil {
+		// A reused verdict charges the steps its solve charged, so
+		// limits trip exactly where they would without the table.
+		t.budget.Steps(total)
+		t.opts.Obs.Count("depend.verdict.reused")
+	} else {
+		v = t.solveAffine(eq, same, aFirst, total)
+		v.key = string(t.scr.key)
 	}
-	var feasibles []found
+	if t.verdicts == nil {
+		t.verdicts = make(map[string]*verdict, len(t.prev))
+	}
+	t.verdicts[v.key] = v
+	if v.independent() {
+		return nil, true
+	}
+	text := A.equationSide(0) + " = " + B.equationSide(1)
+
+	// Express each source's dependence from the table's directions and
+	// distance, in fresh slices: the verdict is shared and immutable.
+	var out []*Dependence
+	for s, srcA := range []bool{true, false} {
+		if !v.has[s] {
+			continue
+		}
+		src, dst := A, B
+		if !srcA {
+			src, dst = B, A
+		}
+		dep := &Dependence{
+			Src: src, Dst: dst, Kind: kindOf(src, dst),
+			Loops: common, Dirs: make([]Dir, nd),
+			AfterIterations: after,
+			Equation:        text,
+			Method:          v.method,
+		}
+		copy(dep.Dirs, v.dirs[s*nd:])
+		if v.dist != nil {
+			dep.Distance = make([]int64, nd)
+			for i, d := range v.dist {
+				if srcA {
+					dep.Distance[i] = d
+				} else {
+					dep.Distance[i] = -d
+				}
+			}
+		}
+		out = append(out, dep)
+	}
+	return out, false
+}
+
+// solveAffine tests each of the total = 3^d direction vectors over the
+// common nest with the exact solver (small constant spaces), the GCD
+// test, and Banerjee-style interval bounds, merging the feasible ones
+// by source; when any is feasible it also asks the exact solvers
+// whether all solutions share one distance vector. same and aFirst are
+// the pair's A == B and A.Order <= B.Order.
+func (t *tester) solveAffine(eq *equation, same, aFirst bool, total int64) *verdict {
+	nd := len(eq.ca)
+	v := &verdict{dirs: make([]Dir, 2*nd)}
 	for mask := int64(0); mask < total; mask++ {
 		psi := make([]Dir, nd)
 		m := mask
@@ -449,11 +515,11 @@ func (t *tester) testAffine(A, B *Access, fa, fb *iv.IterForm, after int) ([]*De
 			psi[i] = []Dir{DirLT, DirEQ, DirGT}[m%3]
 			m /= 3
 		}
-		if !t.feasible(eq, common, psi) {
+		if !t.feasible(eq, psi) {
 			continue
 		}
 		// Who runs first? First non-= entry; all-= uses body order.
-		srcA := A.Order <= B.Order
+		srcA := aFirst
 		loopIndependent := true
 		for _, d := range psi {
 			if d == DirLT {
@@ -465,7 +531,7 @@ func (t *tester) testAffine(A, B *Access, fa, fb *iv.IterForm, after int) ([]*De
 				break
 			}
 		}
-		if A == B {
+		if same {
 			if loopIndependent {
 				continue // same instance
 			}
@@ -474,76 +540,35 @@ func (t *tester) testAffine(A, B *Access, fa, fb *iv.IterForm, after int) ([]*De
 			}
 		}
 		// Express the vector from the source's point of view.
-		dirs := make([]Dir, nd)
-		for i, d := range psi {
-			if srcA {
-				dirs[i] = d
-			} else {
-				dirs[i] = flip(d)
-			}
+		s := 0
+		if !srcA {
+			s = 1
 		}
-		feasibles = append(feasibles, found{srcA: srcA, dirs: dirs})
+		v.has[s] = true
+		for i, d := range psi {
+			if !srcA {
+				d = flip(d)
+			}
+			v.dirs[s*nd+i] |= d
+		}
 	}
-	if len(feasibles) == 0 {
-		return nil, true
+	v.method = eq.method
+	if v.independent() {
+		return v
 	}
-	text := renderEquation(fa, fb)
 
 	// The exact solvers can also determine whether all solutions
 	// share one distance vector (dst iteration minus src iteration).
-	var distAB []int64
-	haveDist := false
 	if len(eq.per) > 0 {
 		// slot-dependent: no single distance vector
 	} else if t.deltaApplicable(eq) {
 		if feasible, dd, unique := t.deltaSolve(eq, nil); feasible && unique {
-			distAB, haveDist = dd, true
+			v.dist = dd
 		}
-	} else {
-		distAB, haveDist = t.exactDistance(eq)
+	} else if dd, unique := t.exactDistance(eq); unique {
+		v.dist = dd
 	}
-
-	// Merge by source, unioning directions per loop.
-	var out []*Dependence
-	for _, srcA := range []bool{true, false} {
-		merged := make([]Dir, nd)
-		n := 0
-		for _, f := range feasibles {
-			if f.srcA != srcA {
-				continue
-			}
-			n++
-			for i, d := range f.dirs {
-				merged[i] |= d
-			}
-		}
-		if n == 0 {
-			continue
-		}
-		src, dst := A, B
-		if !srcA {
-			src, dst = B, A
-		}
-		dep := &Dependence{
-			Src: src, Dst: dst, Kind: kindOf(src, dst),
-			Loops: common, Dirs: merged,
-			AfterIterations: after,
-			Equation:        text,
-			Method:          eq.method,
-		}
-		if haveDist {
-			dep.Distance = make([]int64, nd)
-			for i, d := range distAB {
-				if srcA {
-					dep.Distance[i] = d
-				} else {
-					dep.Distance[i] = -d
-				}
-			}
-		}
-		out = append(out, dep)
-	}
-	return out, false
+	return v
 }
 
 func flip(d Dir) Dir {
@@ -788,12 +813,6 @@ func belowExit(a *iv.Analysis, l *loops.Loop, exit *ir.Block, ac *Access) bool {
 	return a.SSA.Dom.Dominates(stay, ac.Value.Block)
 }
 
-func renderEquation(fa, fb *iv.IterForm) string {
-	sa := strings.ReplaceAll(fa.String(), "h(", "h(")
-	sb := strings.ReplaceAll(fb.String(), "h(", "h'(")
-	return sa + " = " + sb
-}
-
 // lcm returns the least common multiple, reporting ok=false when it
 // does not fit in int64 — buildEquation then abandons the affine form
 // and the pair is assumed dependent.
@@ -821,7 +840,7 @@ func gcd(a, b int64) int64 {
 // feasible tests a direction vector: an exact solve when the space
 // is small, otherwise GCD plus Banerjee interval bounds (conservative:
 // may say yes when no solution exists, never the reverse).
-func (t *tester) feasible(eq *equation, common []*loops.Loop, psi []Dir) bool {
+func (t *tester) feasible(eq *equation, psi []Dir) bool {
 	t.budget.Step()
 	if len(eq.per) > 0 {
 		return t.feasibleWithSlots(eq, psi)
