@@ -11,6 +11,12 @@
 //	E1/E6/E8 BenchmarkClassify*       — per-class classification costs
 //	E13–E15 BenchmarkDependence*      — dependence testing costs
 //	E19 BenchmarkStrengthReduce       — transformation cost
+//	BenchmarkRestructure              — chunked execution of loops the
+//	                                    restructuring tier proves parallel
+//
+// The system's end-to-end and per-layer numbers come from bench/
+// (bash bench/run.sh); these plain benchmarks stay for the paper's
+// shapes and for quantities bench/ has no metric for.
 package beyondiv
 
 import (
@@ -21,6 +27,7 @@ import (
 	"beyondiv/internal/classical"
 	"beyondiv/internal/depend"
 	"beyondiv/internal/engine"
+	"beyondiv/internal/interp"
 	"beyondiv/internal/iv"
 	"beyondiv/internal/loops"
 	"beyondiv/internal/obs"
@@ -258,6 +265,52 @@ func BenchmarkPeel(b *testing.B) {
 			b.Fatal(err)
 		}
 		xform.PeelProgram(file, nil)
+	}
+}
+
+// BenchmarkRestructure: what the analysis→restructure→parallelize
+// chain buys at execution time, sequential vs chunked across 4
+// workers. The relaxation's inner loop is parallel as written; the
+// column stencil only after interchange, so its sequential side is the
+// original nest and its parallel side the interchanged one the
+// pipeline hands back. TestParmarkMarksProvablyParallelLoop and
+// TestInterchangePromotesInnerParallelLoop prove the L2 marks on these
+// programs. The merge replays every store sequentially, so the speedup
+// stays well under the worker count, and a host with fewer than 4 CPUs
+// cannot show the full effect.
+func BenchmarkRestructure(b *testing.B) {
+	relax := benchRelaxation(16, 2048)
+	stencil, swapped := benchStencil(64, 256)
+	cases := []struct {
+		name    string
+		src     string
+		workers int // 0: sequential RunAST
+	}{
+		{"relaxation/seq", relax, 0},
+		{"relaxation/workers=4", relax, 4},
+		{"stencil/seq", stencil, 0},
+		{"stencil/workers=4", swapped, 4},
+	}
+	cfg := interp.Config{MaxSteps: 50_000_000}
+	marks := map[string]bool{"L2": true}
+	for _, c := range cases {
+		file, err := parse.File(c.src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				var err error
+				if c.workers == 0 {
+					_, err = interp.RunAST(file, cfg)
+				} else {
+					_, err = interp.RunASTParallel(file, cfg, marks, c.workers)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

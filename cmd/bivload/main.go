@@ -64,7 +64,7 @@ var (
 	addr     = flag.String("addr", "", "chaos-test a running bivd at `host:port` over HTTP instead of loading in-process")
 	conc     = flag.Int("conc", 8, "client workers in -addr mode")
 	seed     = flag.Int64("seed", 1, "traffic-mix seed in -addr mode")
-	benchOut = flag.String("bench-json", "", "write the -addr mode report as JSON to `file` (e.g. BENCH_serve.json)")
+	benchOut = flag.String("bench-json", "", "write the -addr mode report as JSON to `file`")
 	tel      cliutil.Telemetry
 	cache    cliutil.CacheFlags
 	par      cliutil.ParallelFlag

@@ -20,11 +20,9 @@ func buildFunc(t *testing.T, src string) *ir.Func {
 }
 
 // slowDominates is the textbook oracle: a dominates b iff removing a
-// from the graph makes b unreachable from entry (or a == b).
-func slowDominates(f *ir.Func, a, b *ir.Block) bool {
-	if a == b {
-		return true
-	}
+// from the graph makes b unreachable from entry (or a == b). It
+// searches the graph once for a and answers for every b.
+func slowDominates(f *ir.Func, a *ir.Block) func(b *ir.Block) bool {
 	seen := map[*ir.Block]bool{a: true} // pretend a is removed
 	var stack []*ir.Block
 	if f.Entry != a {
@@ -42,7 +40,7 @@ func slowDominates(f *ir.Func, a, b *ir.Block) bool {
 		}
 	}
 	// b unreachable without a => a dominates b (if b was reachable at all).
-	return !seen[b] || b == a
+	return func(b *ir.Block) bool { return !seen[b] || b == a }
 }
 
 func reachableBlocks(f *ir.Func) []*ir.Block { return f.Postorder() }
@@ -52,8 +50,9 @@ func checkAgainstOracle(t *testing.T, f *ir.Func) {
 	tr := New(f)
 	blocks := reachableBlocks(f)
 	for _, a := range blocks {
+		dominates := slowDominates(f, a)
 		for _, b := range blocks {
-			want := slowDominates(f, a, b)
+			want := dominates(b)
 			if got := tr.Dominates(a, b); got != want {
 				t.Errorf("Dominates(%s,%s) = %v, oracle %v", a, b, got, want)
 			}
@@ -255,8 +254,9 @@ func TestQuickDominatorOracle(t *testing.T) {
 		tr := New(f)
 		blocks := reachableBlocks(f)
 		for _, a := range blocks {
+			dominates := slowDominates(f, a)
 			for _, b := range blocks {
-				if tr.Dominates(a, b) != slowDominates(f, a, b) {
+				if tr.Dominates(a, b) != dominates(b) {
 					return false
 				}
 			}

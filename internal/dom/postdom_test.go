@@ -10,54 +10,35 @@ import (
 	"beyondiv/internal/progen"
 )
 
-// slowPostDominates: a postdominates b iff removing a makes Exit
-// unreachable from b (or a == b), for blocks that can reach Exit.
-func slowPostDominates(f *ir.Func, a, b *ir.Block) bool {
-	if a == b {
-		return true
+// reachesExit is the set of blocks with a path to Exit that avoids
+// removed (nil removes nothing): one backward search from Exit answers
+// for every block.
+func reachesExit(f *ir.Func, removed *ir.Block) map[*ir.Block]bool {
+	seen := map[*ir.Block]bool{}
+	if f.Exit == removed {
+		return seen
 	}
-	seen := map[*ir.Block]bool{a: true}
-	var stack []*ir.Block
-	if b != a {
-		stack = append(stack, b)
-		seen[b] = true
-	}
-	reached := false
+	seen[f.Exit] = true
+	stack := []*ir.Block{f.Exit}
 	for len(stack) > 0 {
 		blk := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if blk == f.Exit {
-			reached = true
-			break
-		}
-		for _, s := range blk.Succs {
-			if !seen[s] {
-				seen[s] = true
-				stack = append(stack, s)
+		for _, p := range blk.Preds {
+			if p != removed && !seen[p] {
+				seen[p] = true
+				stack = append(stack, p)
 			}
 		}
 	}
-	return !reached
+	return seen
 }
 
-// canReachExit without removals.
-func canReachExit(f *ir.Func, b *ir.Block) bool {
-	seen := map[*ir.Block]bool{b: true}
-	stack := []*ir.Block{b}
-	for len(stack) > 0 {
-		blk := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if blk == f.Exit {
-			return true
-		}
-		for _, s := range blk.Succs {
-			if !seen[s] {
-				seen[s] = true
-				stack = append(stack, s)
-			}
-		}
-	}
-	return false
+// slowPostDominates: a postdominates b iff removing a makes Exit
+// unreachable from b (or a == b), for blocks that can reach Exit. It
+// searches the graph once for a and answers for every b.
+func slowPostDominates(f *ir.Func, a *ir.Block) func(b *ir.Block) bool {
+	reach := reachesExit(f, a)
+	return func(b *ir.Block) bool { return a == b || !reach[b] }
 }
 
 func checkPostAgainstOracle(t *testing.T, src string) {
@@ -68,12 +49,14 @@ func checkPostAgainstOracle(t *testing.T, src string) {
 	}
 	f := cfgbuild.Build(file).Func
 	pt := NewPost(f)
+	canReachExit := reachesExit(f, nil)
 	for _, a := range f.Blocks {
+		postDominates := slowPostDominates(f, a)
 		for _, b := range f.Blocks {
-			if !canReachExit(f, a) || !canReachExit(f, b) {
+			if !canReachExit[a] || !canReachExit[b] {
 				continue // tree leaves these unrelated; oracle undefined
 			}
-			want := slowPostDominates(f, a, b)
+			want := postDominates(b)
 			if got := pt.Dominates(a, b); got != want {
 				t.Errorf("PostDominates(%s,%s) = %v, oracle %v in\n%s", a, b, got, want, f)
 			}
@@ -124,12 +107,14 @@ func TestQuickPostDominatorOracle(t *testing.T) {
 		}
 		f := cfgbuild.Build(file).Func
 		pt := NewPost(f)
+		canReachExit := reachesExit(f, nil)
 		for _, a := range f.Blocks {
+			postDominates := slowPostDominates(f, a)
 			for _, b := range f.Blocks {
-				if !canReachExit(f, a) || !canReachExit(f, b) {
+				if !canReachExit[a] || !canReachExit[b] {
 					continue
 				}
-				if pt.Dominates(a, b) != slowPostDominates(f, a, b) {
+				if pt.Dominates(a, b) != postDominates(b) {
 					return false
 				}
 			}

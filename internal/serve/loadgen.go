@@ -174,7 +174,7 @@ func (r *LoadReport) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// WriteFile writes the report to path (the BENCH_serve.json artifact).
+// WriteFile writes the report to path (bivload -bench-json).
 func (r *LoadReport) WriteFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {

@@ -1,16 +1,24 @@
 // Telemetry integration tests: the span tree and counters a full
 // analysis records are deterministic, the nil-recorder path is
-// output-equivalent to the instrumented one, and the provenance log
-// explains every classified variable.
+// output-equivalent to the instrumented one, the provenance log
+// explains every classified variable, and the process-metrics stack
+// (registry, flight recorder, debug HTTP server) works wired together
+// the way the commands wire it.
 package beyondiv
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
+	"net/http"
 	"strings"
 	"testing"
 
 	"beyondiv/internal/depend"
+	"beyondiv/internal/guard"
 	"beyondiv/internal/obs"
+	"beyondiv/internal/obs/debugserv"
+	"beyondiv/internal/obs/metrics"
 	"beyondiv/internal/paper"
 )
 
@@ -200,5 +208,105 @@ func TestDependOptionsObs(t *testing.T) {
 	depend.Analyze(prog.IV, depend.Options{Obs: rec})
 	if rec.Counter("depend.pairs.tested") == 0 {
 		t.Error("dependence run recorded no tested pairs")
+	}
+}
+
+// TestDebugServEndToEnd wires the stack exactly like a command with
+// -debug-addr: a cached analyzer feeding a registry and flight
+// recorder, a batch over the paper corpus plus one fault-injected
+// run, and the debug server scraped over real HTTP. /metrics must
+// show per-phase percentiles and cache counters in both formats, and
+// /lastruns must contain the fault run with its phase and stack.
+func TestDebugServEndToEnd(t *testing.T) {
+	reg := metrics.NewRegistry()
+	fl := metrics.NewFlight(64, 16)
+	opts := Options{Metrics: reg, Flight: fl, CacheEntries: 64, Jobs: 2}
+
+	var srcs []string
+	for _, p := range paper.Corpus {
+		srcs = append(srcs, p.Source)
+	}
+	an := NewAnalyzer(opts)
+	for _, r := range an.AnalyzeAll(srcs) {
+		if r.Err != nil {
+			t.Fatalf("%d: %v", r.Index, r.Err)
+		}
+	}
+	for _, r := range an.AnalyzeAll(srcs) { // all cache hits
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	fopts := opts
+	fopts.CacheEntries = 0
+	fopts.Limits.Inject = guard.PanicIn("iv")
+	if _, err := NewAnalyzer(fopts).Analyze(srcs[0]); err == nil {
+		t.Fatal("fault injection did not fail the run")
+	}
+
+	srv, err := debugserv.Serve("127.0.0.1:0", reg, fl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	get := func(path string) string {
+		resp, err := http.Get("http://" + srv.Addr() + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+
+	prom := get("/metrics")
+	for _, want := range []string{
+		"biv_phase_parse_p50", "biv_phase_iv_p99", "biv_phase_analyze_count",
+		"biv_engine_cache_hit", "biv_engine_cache_miss", "biv_engine_fault_iv 1",
+	} {
+		if !strings.Contains(prom, want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+
+	var snap metrics.Snapshot
+	if err := json.Unmarshal([]byte(get("/metrics?format=json")), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Counters["engine.cache.hit"] < int64(len(srcs)) {
+		t.Errorf("cache hits = %d, want >= %d", snap.Counters["engine.cache.hit"], len(srcs))
+	}
+	for _, phase := range []string{"parse", "ssa", "iv", "depend", "analyze"} {
+		h := snap.Hists["phase."+phase]
+		if h.Count == 0 || h.P99 < h.P50 || h.P50 <= 0 {
+			t.Errorf("phase.%s histogram: count=%d p50=%d p99=%d", phase, h.Count, h.P50, h.P99)
+		}
+	}
+
+	var runs struct {
+		Recent []metrics.Run `json:"recent"`
+		Failed []metrics.Run `json:"failed"`
+	}
+	if err := json.Unmarshal([]byte(get("/lastruns")), &runs); err != nil {
+		t.Fatal(err)
+	}
+	if len(runs.Failed) != 1 {
+		t.Fatalf("failed ring has %d runs, want 1", len(runs.Failed))
+	}
+	f := runs.Failed[0]
+	if !f.Fault || f.Phase != "iv" || f.Stack == "" {
+		t.Errorf("fault run = phase=%q fault=%v stack=%d bytes", f.Phase, f.Fault, len(f.Stack))
+	}
+	cached := 0
+	for _, r := range runs.Recent {
+		if r.Cached {
+			cached++
+		}
+	}
+	if cached < len(srcs) {
+		t.Errorf("flight shows %d cached runs, want >= %d", cached, len(srcs))
 	}
 }

@@ -9,7 +9,6 @@ package beyondiv
 import (
 	"runtime/debug"
 	"testing"
-	"time"
 
 	"beyondiv/internal/paper"
 	"beyondiv/internal/progen"
@@ -133,8 +132,9 @@ func TestParallelAllocOverhead(t *testing.T) {
 
 // TestColdAnalyzeBudget pins the post-squeeze cold-analysis cost on the
 // paper's E6: the full uncached pipeline must stay within 400
-// allocations, and — timing being load-sensitive, checked only without
-// the race detector — within 100µs per run at its best.
+// allocations. Its latency is the benchmark's concern (E6 is in the
+// corpus workload, whose latency_p50_ms and latency_p99_ms carry the
+// no-regression bound), not a wall-clock assertion here.
 func TestColdAnalyzeBudget(t *testing.T) {
 	src := paper.ByID("E6").Source
 	an := NewAnalyzer(Options{})
@@ -158,31 +158,5 @@ func TestColdAnalyzeBudget(t *testing.T) {
 	if allocs > allocBound {
 		t.Errorf("cold Analyze(E6) = %.0f allocs per run, want ≤ %.0f", allocs, allocBound)
 	}
-
-	if raceEnabled {
-		t.Logf("%.0f allocs per run (bound %.0f); timing check skipped under -race", allocs, allocBound)
-		return
-	}
-	const nsBound = 100_000
-	best := time.Duration(1 << 62)
-	for attempt := 0; attempt < 5; attempt++ {
-		const iters = 50
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := an.Analyze(src); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if d := time.Since(start) / iters; d < best {
-			best = d
-		}
-		if best.Nanoseconds() <= nsBound {
-			break
-		}
-	}
-	if best.Nanoseconds() > nsBound {
-		t.Errorf("cold Analyze(E6) best of 5 = %v per run, want ≤ %v", best, time.Duration(nsBound))
-	}
-	t.Logf("%.0f allocs per run (bound %.0f), best %v per run (bound %v)",
-		allocs, allocBound, best, time.Duration(nsBound))
+	t.Logf("%.0f allocs per run (bound %.0f)", allocs, allocBound)
 }

@@ -15,6 +15,7 @@ import (
 	"beyondiv/internal/obs"
 	"beyondiv/internal/obs/metrics"
 	"beyondiv/internal/paper"
+	"beyondiv/internal/progen"
 )
 
 // persistFacadeSrc has induction variables, dependences and a nested
@@ -129,6 +130,44 @@ func TestPersistWarmStartZeroPasses(t *testing.T) {
 	if _, err := prog.Run(nil); err == nil || !strings.Contains(err.Error(), "persistent cache") {
 		t.Fatalf("Run on a decoded program: %v", err)
 	}
+}
+
+// TestPersistIncrementalCounters: the store counters of the three
+// restart scenarios, each run by a fresh analyzer (a process restart in
+// miniature) over one store directory. A cold run writes every
+// program; after 1 of n files is edited, the other n−1 hit and only
+// the edited one is written; a warm restart answers all n from alias
+// records, with no miss and no write.
+func TestPersistIncrementalCounters(t *testing.T) {
+	var srcs []string
+	for seed := int64(1); seed <= 4; seed++ {
+		srcs = append(srcs, progen.DepWorkload(seed))
+	}
+	n := int64(len(srcs))
+	dir := t.TempDir()
+	run := func(scenario string, programs []string, want map[string]int64) {
+		t.Helper()
+		reg := metrics.NewRegistry()
+		an := NewAnalyzer(Options{CacheDir: dir, Metrics: reg})
+		for _, src := range programs {
+			if _, err := an.Analyze(src); err != nil {
+				t.Fatalf("%s: %v", scenario, err)
+			}
+		}
+		for name, w := range want {
+			if got := reg.Counter(name); got != w {
+				t.Errorf("%s: %s = %d, want %d", scenario, name, got, w)
+			}
+		}
+	}
+
+	run("cold", srcs, map[string]int64{"engine.store.write": n})
+	edited := append([]string(nil), srcs...)
+	edited[0] += "\nzedit = 1\n"
+	run("1-of-n edit", edited, map[string]int64{"engine.store.hit": n - 1, "engine.store.write": 1})
+	run("warm restart", srcs, map[string]int64{
+		"engine.store.hit.alias": n, "engine.store.miss": 0, "engine.store.write": 0,
+	})
 }
 
 // TestPersistStructuralHit: whitespace- and comment-only edits hit the

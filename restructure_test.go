@@ -7,6 +7,7 @@
 package beyondiv
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -26,6 +27,54 @@ func passRewrites(r *OptimizeResult, name string) int {
 		}
 	}
 	return n
+}
+
+// benchRelaxation scales examples/relaxation: sweeps ping-pong between
+// plane rows, the inner stencil loop carries nothing and parallelizes.
+// BenchmarkRestructure executes it at (16, 2048), the size
+// TestParmarkMarksProvablyParallelLoop proves the L2 mark at.
+func benchRelaxation(sweeps, width int) string {
+	return fmt.Sprintf(`
+cur = 1
+old = 2
+L1: for sweep = 1 to %d {
+    L2: for i = 1 to %d {
+        plane[cur * %d + i] = plane[old * %d + i] + i
+    }
+    t = cur
+    cur = old
+    old = t
+}
+`, sweeps, width, width+1, width+1)
+}
+
+// benchStencil is the column stencil carrying its only dependence on
+// the outer loop, plus the same nest after the interchange the pipeline
+// performs (TestInterchangePromotesInnerParallelLoop asserts the pass
+// makes exactly this move on orig at (64, 256), BenchmarkRestructure's
+// size): the dependence-free j loop outermost and chunkable. Sizes must
+// keep (2·rows−1)·(2·cols−1) under the exact dependence test's
+// enumeration cap (depend.Options.MaxExact, 1<<16) or the distance
+// degrades to an inexact direction vector and interchange
+// conservatively refuses; the row stride stays well above the column
+// extent for the same reason.
+func benchStencil(rows, cols int) (orig, swapped string) {
+	stride := 8 * cols
+	orig = fmt.Sprintf(`
+L1: for i = 0 to %d {
+    L2: for j = 0 to %d {
+        a[i * %d + j + %d] = a[i * %d + j] + j
+    }
+}
+`, rows-1, cols-1, stride, stride, stride)
+	swapped = fmt.Sprintf(`
+L2: for j = 0 to %d {
+    L1: for i = 0 to %d {
+        a[i * %d + j + %d] = a[i * %d + j] + j
+    }
+}
+`, cols-1, rows-1, stride, stride, stride)
+	return orig, swapped
 }
 
 func TestParmarkMarksProvablyParallelLoop(t *testing.T) {
@@ -48,6 +97,17 @@ L2: for i = 1 to 99 {
 	}
 	if passRewrites(r, "parmark") == 0 {
 		t.Error("parmark reported no annotation delta")
+	}
+
+	// At the size BenchmarkRestructure executes, the relaxation's inner
+	// stencil loop is still proven parallel: the mark it exploits is
+	// never assumed.
+	r, err = Optimize(benchRelaxation(16, 2048))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Contains(r.ParallelLoops, "L2") {
+		t.Errorf("relaxation inner loop not proven parallel: %v", r.ParallelLoops)
 	}
 }
 
@@ -72,34 +132,39 @@ L1: for i = 0 to 20 {
 // TestInterchangePromotesInnerParallelLoop: the column stencil carries
 // its only dependence on the outer loop (distance (1,0)), so the inner
 // loop is parallel but stuck inside. Interchange must swap the nest and
-// parmark must then mark the new outer loop.
+// parmark must then mark the new outer loop — on a small nest and at
+// the size BenchmarkRestructure executes, just under the exact
+// dependence test's enumeration cap.
 func TestInterchangePromotesInnerParallelLoop(t *testing.T) {
-	r, err := Optimize(`
+	stencil, _ := benchStencil(64, 256)
+	for i, src := range []string{`
 L1: for i = 0 to 19 {
     L2: for j = 0 to 19 {
         a[i * 100 + j + 100] = a[i * 100 + j] + 1
     }
 }
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if passRewrites(r, "interchange") != 1 {
-		t.Fatalf("interchange rewrites = %d, want 1; stats %+v", passRewrites(r, "interchange"), r.Stats)
-	}
-	if !slices.Contains(r.ParallelLoops, "L2") {
-		t.Errorf("swapped-outward L2 should be marked parallel: %v", r.ParallelLoops)
-	}
-	if r.Validations == 0 {
-		t.Error("interchange ran without translation validation")
-	}
-	// The transformed program's loop forest has L2 as the root.
-	var roots []string
-	for _, l := range r.Program.Loops.Roots {
-		roots = append(roots, l.Label)
-	}
-	if !slices.Contains(roots, "L2") {
-		t.Errorf("transformed forest roots = %v, want L2 outermost", roots)
+`, stencil} {
+		r, err := Optimize(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if passRewrites(r, "interchange") != 1 {
+			t.Fatalf("src %d: interchange rewrites = %d, want 1; stats %+v", i, passRewrites(r, "interchange"), r.Stats)
+		}
+		if !slices.Contains(r.ParallelLoops, "L2") {
+			t.Errorf("src %d: swapped-outward L2 should be marked parallel: %v", i, r.ParallelLoops)
+		}
+		if r.Validations == 0 {
+			t.Errorf("src %d: interchange ran without translation validation", i)
+		}
+		// The transformed program's loop forest has L2 as the root.
+		var roots []string
+		for _, l := range r.Program.Loops.Roots {
+			roots = append(roots, l.Label)
+		}
+		if !slices.Contains(roots, "L2") {
+			t.Errorf("src %d: transformed forest roots = %v, want L2 outermost", i, roots)
+		}
 	}
 }
 
