@@ -1,7 +1,6 @@
-// Batch-mode and cache tests: determinism of AnalyzeAll under
-// concurrency (run with -race in CI), content-addressed cache
-// correctness, and failure isolation — one hostile source in a batch
-// fails alone.
+// Batch-mode and cache tests: telemetry aggregation, options
+// fingerprints, shared budgets and failure isolation — one hostile
+// source in a batch fails alone.
 package beyondiv
 
 import (
@@ -38,38 +37,6 @@ func reportsOf(p *Program) string {
 	return p.ClassificationReport() + "\n--\n" + p.DependenceReport()
 }
 
-// TestAnalyzeAllMatchesSequential: a 4-worker batch over >= 16 sources
-// produces byte-identical results to sequential analysis, in input
-// order. Under -race this also proves the fan-out is data-race free.
-func TestAnalyzeAllMatchesSequential(t *testing.T) {
-	srcs := batchCorpus(t)
-	want := make([]string, len(srcs))
-	for i, src := range srcs {
-		prog, err := Analyze(src)
-		if err != nil {
-			t.Fatalf("sequential analyze %d: %v", i, err)
-		}
-		want[i] = reportsOf(prog)
-	}
-	for _, jobs := range []int{2, 4, 8} {
-		results := AnalyzeBatch(srcs, Options{Jobs: jobs})
-		if len(results) != len(srcs) {
-			t.Fatalf("jobs=%d: %d results for %d sources", jobs, len(results), len(srcs))
-		}
-		for i, r := range results {
-			if r.Err != nil {
-				t.Fatalf("jobs=%d source %d: %v", jobs, i, r.Err)
-			}
-			if r.Index != i {
-				t.Errorf("jobs=%d: result %d carries index %d", jobs, i, r.Index)
-			}
-			if got := reportsOf(r.Program); got != want[i] {
-				t.Errorf("jobs=%d source %d: batch result differs from sequential:\n--- batch ---\n%s\n--- sequential ---\n%s", jobs, i, got, want[i])
-			}
-		}
-	}
-}
-
 // TestBatchTelemetryAggregates: worker recorders merge back into the
 // caller's recorder — counters equal the sequential run's, and the
 // span tree holds one worker span per worker under "analyze-all".
@@ -104,40 +71,6 @@ func TestBatchTelemetryAggregates(t *testing.T) {
 	}
 	if workers != 4 {
 		t.Errorf("analyze-all has %d worker spans, want 4", workers)
-	}
-}
-
-// TestCacheHitReturnsSameArtifacts: with a cache, re-analyzing the
-// same source under the same options returns the same underlying
-// artifacts (pointer-identical *iv.Analysis), and the hit/miss
-// counters record it.
-func TestCacheHitReturnsSameArtifacts(t *testing.T) {
-	src := paper.ByID("E6").Source
-	rec := obs.New()
-	an := NewAnalyzer(Options{CacheEntries: 4, Obs: rec})
-	p1, err := an.Analyze(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := an.Analyze(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1.IV != p2.IV || p1.Deps != p2.Deps || p1.SSA != p2.SSA {
-		t.Error("second analysis of an unchanged source did not reuse the cached artifacts")
-	}
-	if hits := rec.Counter("engine.cache.hit"); hits != 1 {
-		t.Errorf("engine.cache.hit = %d, want 1", hits)
-	}
-	if misses := rec.Counter("engine.cache.miss"); misses != 1 {
-		t.Errorf("engine.cache.miss = %d, want 1", misses)
-	}
-	// Without a cache, artifacts are always fresh.
-	plain := NewAnalyzer(Options{})
-	q1, _ := plain.Analyze(src)
-	q2, _ := plain.Analyze(src)
-	if q1.IV == q2.IV {
-		t.Error("uncached analyzer returned shared artifacts")
 	}
 }
 

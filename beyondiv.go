@@ -179,10 +179,6 @@ type Options struct {
 	// it stays out of the cache fingerprint: analysis results are shared
 	// between analyzers whatever their transform pipeline.
 	Passes []string
-	// MaxRounds caps Optimize's fixed-point iteration over the pipeline
-	// (<= 0 means 10); iteration normally stops earlier, at the first
-	// round with no rewrites.
-	MaxRounds int
 	// SkipValidation disables the per-pass translation validation that
 	// replays original vs transformed program through the interpreter
 	// (ssa.Verify still runs after every pass). Meant for benchmarks.
@@ -256,7 +252,6 @@ func NewAnalyzer(opts Options) *Analyzer {
 		Fingerprint:    opts.Fingerprint(),
 		BatchSteps:     opts.BatchSteps,
 		Transforms:     transforms,
-		MaxRounds:      opts.MaxRounds,
 		SkipValidation: opts.SkipValidation,
 	}
 	var storeErr error

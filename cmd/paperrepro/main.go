@@ -21,9 +21,8 @@ import (
 	"os"
 	"strings"
 
+	"beyondiv"
 	"beyondiv/internal/cliutil"
-	"beyondiv/internal/depend"
-	"beyondiv/internal/iv"
 	"beyondiv/internal/matrix"
 	"beyondiv/internal/paper"
 	"beyondiv/internal/rational"
@@ -33,6 +32,10 @@ var (
 	only  = flag.String("id", "", "run a single experiment id (e.g. E6)")
 	quiet = flag.Bool("q", false, "suppress program sources")
 	tel   cliutil.Telemetry
+	// classes analyzes the corpus, which reads only classifications;
+	// deps also runs the dependence pass the §6 examples print. Both
+	// carry the command's telemetry.
+	classes, deps *beyondiv.Analyzer
 )
 
 func main() {
@@ -41,6 +44,11 @@ func main() {
 	if err := tel.Start(); err != nil {
 		cliutil.Fatal("paperrepro", err)
 	}
+	opts := beyondiv.Options{SkipDependences: true}
+	tel.Apply(&opts)
+	classes = beyondiv.NewAnalyzer(opts)
+	opts.SkipDependences = false
+	deps = beyondiv.NewAnalyzer(opts)
 	failures := 0
 	type row struct {
 		id, name string
@@ -87,11 +95,12 @@ func runProgram(p *paper.Program) int {
 	if !*quiet {
 		fmt.Println(indent(strings.TrimRight(p.Source, "\n")))
 	}
-	a, err := iv.AnalyzeProgramWith(p.Source, ivOptions())
+	prog, err := classes.Analyze(p.Source)
 	if err != nil {
 		fmt.Println("ERROR:", err)
 		return 1
 	}
+	a := prog.IV
 	bad := 0
 	for _, e := range p.Expect {
 		l := a.LoopByLabel(e.Loop)
@@ -168,29 +177,18 @@ func runDependenceExamples() {
 		if !*quiet {
 			fmt.Println(indent(strings.TrimRight(src, "\n")))
 		}
-		a, err := iv.AnalyzeProgramWith(src, ivOptions())
+		prog, err := deps.Analyze(src)
 		if err != nil {
 			fmt.Println("ERROR:", err)
 			return
 		}
-		r := depend.Analyze(a, depend.Options{Obs: tel.Recorder()})
-		fmt.Print(indent(strings.TrimRight(r.Report(), "\n")))
+		fmt.Print(indent(strings.TrimRight(prog.DependenceReport(), "\n")))
 		fmt.Println()
 	}
 	show("L21: induction expressions", paper.ByID("E13").Source)
 	show("L22: periodic = translates to distance mod 2", paper.ByID("E14").Source)
 	show("L23/L24: normalization study (triangular)", paper.ByID("E15").Source)
 	show("Figure 10: monotonic directions", paper.ByID("E12").Source)
-}
-
-// ivOptions threads the shared observability backends into the
-// classifier-only entry point this command drives the corpus through.
-func ivOptions() iv.Options {
-	return iv.Options{
-		Obs:     tel.Recorder(),
-		Metrics: tel.Registry(),
-		Flight:  tel.Flight(),
-	}
 }
 
 func rats(vs ...int64) []rational.Rat {

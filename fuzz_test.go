@@ -1,10 +1,11 @@
-package beyondiv
+package beyondiv_test
 
 import (
 	"errors"
 	"strings"
 	"testing"
 
+	"beyondiv"
 	"beyondiv/internal/interp"
 	"beyondiv/internal/parse"
 )
@@ -68,9 +69,9 @@ func FuzzAnalyze(f *testing.F) {
 		if len(src) > 1<<14 {
 			return
 		}
-		prog, err := Analyze(src)
+		prog, err := beyondiv.Analyze(src)
 		if err != nil {
-			var e *Error
+			var e *beyondiv.Error
 			if !errors.As(err, &e) {
 				t.Fatalf("unstructured error %T: %v", err, err)
 			}
@@ -95,7 +96,7 @@ func FuzzRun(f *testing.F) {
 		if len(src) > 1<<12 {
 			return
 		}
-		prog, err := AnalyzeWith(src, Options{SkipDependences: true})
+		prog, err := beyondiv.AnalyzeWith(src, beyondiv.Options{SkipDependences: true})
 		if err != nil {
 			return
 		}
@@ -129,7 +130,7 @@ func FuzzInterpreters(f *testing.F) {
 		cfg := interp.Config{Params: map[string]int64{"n": 6, "m": 9}, MaxSteps: 20_000}
 		ra, errA := interp.RunAST(file, cfg)
 
-		prog, err := AnalyzeWith(src, Options{SkipDependences: true})
+		prog, err := beyondiv.AnalyzeWith(src, beyondiv.Options{SkipDependences: true})
 		if err != nil {
 			t.Fatalf("parsed but did not analyze: %v", err)
 		}

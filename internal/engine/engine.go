@@ -251,10 +251,6 @@ type Config struct {
 	// the cache fingerprint, so an Optimize engine shares analysis cache
 	// entries with a plain Analyze engine.
 	Transforms []TransformPass
-	// MaxRounds caps Optimize's fixed-point iteration over the transform
-	// pipeline; <= 0 means 10. Convergence normally ends iteration well
-	// before the cap (a round in which no pass rewrites anything).
-	MaxRounds int
 	// SkipValidation disables the per-pass interpreter translation
 	// validation (ssa.Verify still runs after every rebuild). Meant for
 	// benchmarks; correctness-sensitive callers should leave it off.

@@ -109,6 +109,11 @@ func ParMarksOf(st *State) ParMarks {
 // interleave, and the -race corpus runs catch unsynchronized access).
 const parValidateWorkers = 4
 
+// MaxRounds caps Optimize's fixed-point iteration over the transform
+// pipeline. Convergence normally ends iteration well before the cap (a
+// round in which no pass rewrites anything).
+const MaxRounds = 10
+
 // PassStat records one transform pass execution that changed the
 // program: which pass, in which fixed-point round, and how many
 // rewrites it made.
@@ -247,14 +252,10 @@ type optimizer struct {
 }
 
 func (r *optimizer) run() (*Optimized, error) {
-	maxRounds := r.e.cfg.MaxRounds
-	if maxRounds <= 0 {
-		maxRounds = 10
-	}
 	rec := r.st.rec
 	ins := r.e.ins
 	rounds := 0
-	for round := 1; round <= maxRounds; round++ {
+	for round := 1; round <= MaxRounds; round++ {
 		rounds = round
 		rec.Count("engine.opt.rounds")
 		if ins != nil {

@@ -118,13 +118,13 @@ func TestOptimizeMaxRoundsCap(t *testing.T) {
 			st.SSA.Func.NewValue(st.SSA.Func.Entry, ir.OpConst)
 			return 1, nil
 		}}
-	e := optEngine(engine.Config{MaxRounds: 3}, restless)
+	e := optEngine(engine.Config{}, restless)
 	res, err := e.Optimize(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds != 3 || len(res.Stats) != 3 {
-		t.Errorf("rounds = %d, stats = %+v; want the cap of 3", res.Rounds, res.Stats)
+	if res.Rounds != engine.MaxRounds || len(res.Stats) != engine.MaxRounds {
+		t.Errorf("rounds = %d, stats = %+v; want the cap of %d", res.Rounds, res.Stats, engine.MaxRounds)
 	}
 }
 

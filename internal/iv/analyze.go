@@ -9,7 +9,6 @@ import (
 	"beyondiv/internal/ir"
 	"beyondiv/internal/loops"
 	"beyondiv/internal/obs"
-	"beyondiv/internal/obs/metrics"
 	"beyondiv/internal/scc"
 	"beyondiv/internal/sccp"
 	"beyondiv/internal/scratch"
@@ -62,14 +61,6 @@ type Options struct {
 	// and the analysis drops its reference before returning, so a
 	// cached Analysis never pins (or shares) an arena.
 	Scratch *scratch.Arena
-	// Metrics and Flight are the process-lifetime observability
-	// backends of the engine AnalyzeProgramWith builds: per-phase
-	// latency histograms, guard and fault counters, and the
-	// flight-recorder capture of recent runs. Both are nil-off and,
-	// like Obs, excluded from Fingerprint; they configure the engine,
-	// not the classifier.
-	Metrics *metrics.Registry
-	Flight  *metrics.Flight
 }
 
 // Fingerprint identifies the option fields that change analysis

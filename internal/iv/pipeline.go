@@ -27,11 +27,9 @@ func AnalyzeProgram(src string) (*Analysis, error) {
 // the caller here any more than it can through the facade.
 func AnalyzeProgramWith(src string, opts Options) (*Analysis, error) {
 	eng := engine.New(engine.Config{
-		Passes:  Passes(opts),
-		Obs:     opts.Obs,
-		Metrics: opts.Metrics,
-		Flight:  opts.Flight,
-		Limits:  opts.Limits,
+		Passes: Passes(opts),
+		Obs:    opts.Obs,
+		Limits: opts.Limits,
 	})
 	st, err := eng.Analyze(src)
 	if err != nil {

@@ -1,9 +1,7 @@
-// Parallel-tier regression tests. The intra-run fan-out is the
-// dependence tester's pair sweep, and it must be invisible in results
-// (byte-identical reports and provenance at every width) and
-// near-invisible in allocations (per-worker setup, not per-pair). CI
-// additionally runs these under -race with GOMAXPROCS=4, turning any
-// cross-worker write into a failure.
+// Parallel-tier allocation tests. The intra-run fan-out is the
+// dependence tester's pair sweep: the equivalence matrix holds it
+// invisible in results, these near-invisible in allocations
+// (per-worker setup, not per-pair).
 package beyondiv
 
 import (
@@ -13,68 +11,6 @@ import (
 	"beyondiv/internal/paper"
 	"beyondiv/internal/progen"
 )
-
-// parCorpus is every program the parallel pair sweep is validated on:
-// the full paper corpus plus generated shapes with many array pairs
-// (Large, DepWorkload) and shapes under the sweep's work-size
-// threshold, below which the sequential path must be taken.
-func parCorpus() []string {
-	srcs := []string{
-		progen.Large(2),
-		progen.Large(12),
-		progen.Large(33),
-		progen.MixedClasses(8),
-		progen.NestedLoops(4),
-		progen.StraightLineLoop(64),
-		progen.DepWorkload(3),
-		progen.DepWorkload(11),
-	}
-	for _, p := range paper.Corpus {
-		srcs = append(srcs, p.Source)
-	}
-	return srcs
-}
-
-// explainProbes are variable names whose provenance chains the
-// determinism test compares across widths; names a program does not
-// define explain to the same empty answer on both sides.
-var explainProbes = []string{"i", "j", "k", "s0", "q1", "d11", "w000", "acc"}
-
-// TestParallelMatchesSequential: a Parallel=4 analyzer must produce
-// byte-identical classification reports, dependence reports and
-// provenance renderings to a sequential one on every corpus program —
-// the parallel tier's core contract (DESIGN.md §14). Only the
-// dependence sweep fans out, but the classification side stays
-// compared: the sweep reads the classification and fills its lazily
-// cached exit values, so a race there would show in either rendering.
-func TestParallelMatchesSequential(t *testing.T) {
-	seq := NewAnalyzer(Options{Parallel: 1})
-	par := NewAnalyzer(Options{Parallel: 4})
-	for i, src := range parCorpus() {
-		want, err := seq.Analyze(src)
-		if err != nil {
-			t.Fatalf("src %d: sequential: %v", i, err)
-		}
-		got, err := par.Analyze(src)
-		if err != nil {
-			t.Fatalf("src %d: parallel: %v", i, err)
-		}
-		if g, w := got.ClassificationReport(), want.ClassificationReport(); g != w {
-			t.Errorf("src %d: classification diverges at Parallel=4\n--- sequential ---\n%s\n--- parallel ---\n%s", i, w, g)
-		}
-		if g, w := got.DependenceReport(), want.DependenceReport(); g != w {
-			t.Errorf("src %d: dependences diverge at Parallel=4\n--- sequential ---\n%s\n--- parallel ---\n%s", i, w, g)
-		}
-		if g, w := got.ExplainAllDeps(), want.ExplainAllDeps(); g != w {
-			t.Errorf("src %d: dependence provenance diverges at Parallel=4", i)
-		}
-		for _, name := range explainProbes {
-			if g, w := got.Explain(name), want.Explain(name); g != w {
-				t.Errorf("src %d: Explain(%q) diverges at Parallel=4\n--- sequential ---\n%s\n--- parallel ---\n%s", i, name, w, g)
-			}
-		}
-	}
-}
 
 // TestParallelAllocOverhead pins the parallel pair sweep's allocation
 // overhead. Measured at Parallel=4 on Large(n) it is ~63 + 4.3n allocs

@@ -1,9 +1,6 @@
 // Restructuring-tier tests: the parmark/interchange/distribute passes
-// end to end through the public Optimize pipeline, and the parallel
-// execution backend's determinism contract (chunked execution is
-// byte-identical to sequential — these tests also run under -race via
-// `make test-race`, where the chunk goroutines are checked for
-// unsynchronized access).
+// end to end through the public Optimize pipeline. Chunked execution's
+// byte identity with sequential is the equivalence matrix's.
 package beyondiv
 
 import (
@@ -11,11 +8,7 @@ import (
 	"slices"
 	"testing"
 
-	"beyondiv/internal/interp"
 	"beyondiv/internal/obs"
-	"beyondiv/internal/paper"
-	"beyondiv/internal/parse"
-	"beyondiv/internal/progen"
 )
 
 // passRewrites sums the rewrites a named pass reported across rounds.
@@ -215,122 +208,6 @@ L1: for i = 0 to 50 {
 	// The split singleton holding only the a-updates is parallel.
 	if len(r.ParallelLoops) != 1 {
 		t.Errorf("parallel loops = %v, want exactly the a-block", r.ParallelLoops)
-	}
-}
-
-// TestRestructuredRunMatchesOriginal is the paper.Corpus + progen
-// differential with the full restructuring pipeline: for every program,
-// optimized execution (which the engine already translation-validated)
-// must agree with the original on a probe input — belt and braces over
-// the grid validation, exercising interchange/distribute/parmark on
-// arbitrary shapes.
-func TestRestructuredRunMatchesOriginal(t *testing.T) {
-	var sources []string
-	for _, ex := range paper.Corpus {
-		sources = append(sources, ex.Source)
-	}
-	gen := progen.New()
-	for seed := int64(0); seed < 12; seed++ {
-		sources = append(sources, gen.Program(seed))
-	}
-	for i, src := range sources {
-		r, err := Optimize(src)
-		if err != nil {
-			t.Fatalf("source %d: %v", i, err)
-		}
-		params := map[string]int64{}
-		for _, n := range []string{"n", "m", "k"} {
-			params[n] = 7
-		}
-		orig, err1 := r.Original.Run(params)
-		xf, err2 := r.Program.Run(params)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("source %d: run disagreement: %v vs %v", i, err1, err2)
-		}
-		if err1 != nil {
-			continue
-		}
-		if len(orig.Writes) != len(xf.Writes) {
-			t.Errorf("source %d: %d writes originally, %d after restructuring", i, len(orig.Writes), len(xf.Writes))
-		}
-	}
-}
-
-// TestParallelExecutionDeterminism: RunASTParallel must reproduce
-// RunAST byte for byte — same store trace in the same global order,
-// same scalars — for every worker count, including workers that divide
-// the iteration space unevenly. Runs under -race in CI.
-func TestParallelExecutionDeterminism(t *testing.T) {
-	cases := []struct {
-		name, src string
-		marks     map[string]bool
-	}{
-		{"simple", `
-L1: for i = 0 to 99 {
-    a[i] = i * 3
-}
-`, map[string]bool{"L1": true}},
-		{"lastwriter", `
-s = 0
-L1: for i = 0 to 30 {
-    a[i] = a[i] + 5
-    s = i
-}
-`, map[string]bool{"L1": true}},
-		{"nest", `
-L1: for i = 0 to 9 {
-    L2: for j = 0 to 9 {
-        a[i * 100 + j] = i + j
-    }
-}
-`, map[string]bool{"L1": true}},
-		{"downward", `
-L1: for i = 50 to 1 by -1 {
-    a[i] = a[i] * 2
-}
-`, map[string]bool{"L1": true}},
-		{"zerotrip", `
-L1: for i = 5 to 1 {
-    a[i] = 1
-}
-`, map[string]bool{"L1": true}},
-		{"unmarked-falls-back", `
-s = 0
-L1: for i = 1 to 20 {
-    s = s + i
-    a[i] = s
-}
-`, map[string]bool{}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			file, err := parse.File(tc.src)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg := interp.Config{MaxSteps: 100000}
-			want, err := interp.RunAST(file, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{1, 2, 3, 7, 16} {
-				got, err := interp.RunASTParallel(file, cfg, tc.marks, workers)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				if !slices.Equal(want.Writes, got.Writes) {
-					t.Fatalf("workers=%d: store trace diverged:\nseq %v\npar %v", workers, want.Writes, got.Writes)
-				}
-				if len(want.Scalars) != len(got.Scalars) {
-					t.Fatalf("workers=%d: scalar sets differ: %v vs %v", workers, want.Scalars, got.Scalars)
-				}
-				for k, v := range want.Scalars {
-					if got.Scalars[k] != v {
-						t.Fatalf("workers=%d: scalar %s = %d, want %d", workers, k, got.Scalars[k], v)
-					}
-				}
-			}
-		})
 	}
 }
 
