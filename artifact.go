@@ -39,8 +39,9 @@ func artifactOf(st *engine.State) (*codec.Artifact, error) {
 		ExplainDeps:    p.ExplainAllDeps(),
 		ReportJSON:     string(js),
 	}
-	for _, key := range p.IV.ExplainKeys() {
-		a.Explains = append(a.Explains, codec.ExplainEntry{Name: key, Text: p.IV.ExplainVar(key)})
+	keys, texts := p.IV.ExplainAll()
+	for i, key := range keys {
+		a.Explains = append(a.Explains, codec.ExplainEntry{Name: key, Text: texts[i]})
 	}
 	return a, nil
 }

@@ -65,19 +65,34 @@ func countSSAValues(info *ssa.Info) int {
 	return n
 }
 
-// E16: classification time per SSA-graph node must stay flat as the
-// loop body grows — the paper's linearity claim.
+// E16: time per SSA-graph node must stay flat as the loop body grows —
+// the paper's linearity claim. stmts=N times the classifier alone;
+// analyze/stmts=N a cold facade Analyze (no cache), every layer from
+// scan to the dependence tester, per node of the same graph.
 func BenchmarkScaling(b *testing.B) {
 	for _, n := range []int{128, 256, 512, 1024, 2048, 4096, 8192} {
+		src := progen.StraightLineLoop(n)
+		st := buildPipeline(b, src)
+		nodes := countSSAValues(st.info)
+		perNode := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nodes), "ns/ssa-node")
+		}
 		b.Run(fmt.Sprintf("stmts=%d", n), func(b *testing.B) {
-			st := buildPipeline(b, progen.StraightLineLoop(n))
-			nodes := countSSAValues(st.info)
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				iv.Analyze(st.info, st.forest, st.consts)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(nodes), "ns/ssa-node")
+			perNode(b)
+		})
+		b.Run(fmt.Sprintf("analyze/stmts=%d", n), func(b *testing.B) {
+			an := NewAnalyzer(Options{})
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := an.Analyze(src); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perNode(b)
 		})
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"beyondiv"
@@ -124,7 +125,13 @@ func runProgram(p *paper.Program) int {
 		}
 		fmt.Printf("  %-4s = %-42s [paper: %s] %s\n", e.Value, got, e.Want, mark)
 	}
-	for label, want := range p.TripCounts {
+	labels := make([]string, 0, len(p.TripCounts))
+	for label := range p.TripCounts {
+		labels = append(labels, label)
+	}
+	slices.Sort(labels) // map order would reorder the lines run to run
+	for _, label := range labels {
+		want := p.TripCounts[label]
 		l := a.LoopByLabel(label)
 		if l == nil {
 			bad++

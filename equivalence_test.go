@@ -62,9 +62,8 @@ func failing(r *row) bool   { return strings.HasPrefix(r.name, "fail/") }
 
 // small admits the failing rows and those of at most 1 KiB of source to
 // the columns whose cost grows with the program but whose path does
-// not: rendering order, the recorder, the memory cache, batches, bivd
-// and the store, whose warming explains every SSA name (~10 ms per KiB).
-// Every row runs the fresh and parallel columns.
+// not: rendering order, the recorder, the memory cache, batches and
+// bivd. Every row runs the fresh, parallel and store columns.
 func small(r *row) bool { return failing(r) || len(r.src) <= 1<<10 }
 
 // A view is what one path rendered for a row, by rendering name; a
@@ -563,7 +562,7 @@ func TestAnalyzeAllMatchesSequential(t *testing.T) {
 // counts an alias hit, and its Decoded program renders the live
 // reference's bytes for every stored key.
 func TestPersistDecodedMatchesFresh(t *testing.T) {
-	eachRow(t, small, func(t *testing.T, r *row) {
+	eachRow(t, nil, func(t *testing.T, r *row) {
 		ref := r.analysis(t)
 		p, reg, err := fromDisk(r.stored(t), r.src)
 		if err == nil && (!p.Decoded() || reg.Counter("engine.store.hit.alias") != 1) {
@@ -576,7 +575,7 @@ func TestPersistDecodedMatchesFresh(t *testing.T) {
 
 // renamedRows is how many rows the α-rename tier serves: names ending
 // in no digit, an entry the encoder's twin check proved renameable.
-const renamedRows = 64
+const renamedRows = 83
 
 // TestPersistStructuralHit: the store's structural entry serves a
 // comment line plus re-indentation, and an α-rename that keeps the
@@ -584,7 +583,7 @@ const renamedRows = 64
 // rename that breaks the order misses without counting corruption.
 func TestPersistStructuralHit(t *testing.T) {
 	var renamed atomic.Int64
-	all := eachRow(t, small, func(t *testing.T, r *row) {
+	all := eachRow(t, nil, func(t *testing.T, r *row) {
 		ref, dir := r.analysis(t), r.stored(t)
 		structuralCell(t, dir, r.src, ref)
 		kept, reversed, servable, names := renames(r.src)
@@ -602,7 +601,7 @@ func TestPersistStructuralHit(t *testing.T) {
 		}
 		cell(t, "α-rename", undotted(rref.want), undotted(render(p, err, rref.keys)))
 		// A miss costs a cold store write: the order-breaking rename
-		// runs on the small rows the Optimize paths use.
+		// runs on the rows the Optimize paths use.
 		if served && optimizes(r) && names > 1 {
 			if p, reg, err := fromDisk(dir, reversed); err != nil || p.Decoded() || reg.Counter("engine.store.corrupt") != 0 {
 				t.Errorf("α-rename: an order-breaking rename was served, counted as corruption, or failed (%v)", err)

@@ -165,21 +165,138 @@ func ruleDetail(c *Classification) string {
 	}
 }
 
-// scrMembers lists the values of loop l classified into the same family
-// as c (same anchoring header φ), sorted by SSA id.
-func (a *Analysis) scrMembers(c *Classification) []*ir.Value {
-	if c.HeadPhi == nil || c.Loop == nil {
-		return nil
+// explainer renders provenance chains for one call. It caches each
+// SCR's rendered member list, so a run over many values costs the text
+// it writes. It lives for one call: the Analysis, which cached states
+// share across goroutines, keeps nothing.
+type explainer struct {
+	a      *Analysis
+	lines  map[scrKey]string                         // rendered "SCR {…}" member lists
+	groups map[*loops.Loop]map[*ir.Value][]*ir.Value // loop → head φ → members (see members)
+	vals   []*ir.Value                               // each's per-loop buffer
+	work   int                                       // classified values visited (tests pin it linear)
+}
+
+type scrKey struct {
+	l    *loops.Loop
+	head *ir.Value
+}
+
+// each calls fn on every classified value keep admits, loops innermost
+// first and values by SSA id within a loop: the order of every
+// explanation and of ExplainKeys.
+func (x *explainer) each(keep func(*ir.Value) bool, fn func(*loops.Loop, *ir.Value)) {
+	for _, l := range x.a.Forest.InnerToOuter() {
+		m := x.a.byLoop[l]
+		x.work += len(m)
+		vals := x.vals[:0]
+		for v := range m {
+			if keep(v) {
+				vals = append(vals, v)
+			}
+		}
+		slices.SortFunc(vals, ir.ByID)
+		for _, v := range vals {
+			fn(l, v)
+		}
+		x.vals = vals
 	}
-	m := a.byLoop[c.Loop]
-	var out []*ir.Value
+}
+
+// scr renders the members of c's SCR — the values of its loop
+// classified into the same family (same anchoring header φ), by SSA id —
+// or "" when c has no family.
+func (x *explainer) scr(c *Classification) string {
+	if c.HeadPhi == nil || c.Loop == nil {
+		return ""
+	}
+	key := scrKey{c.Loop, c.HeadPhi}
+	if line, ok := x.lines[key]; ok {
+		return line
+	}
+	members := x.members(c.Loop, c.HeadPhi)
+	slices.SortFunc(members, ir.ByID)
+	names := make([]string, len(members))
+	for i, m := range members {
+		s := m.String()
+		if m.Op == ir.OpPhi {
+			s = "φ " + s
+		}
+		names[i] = s
+	}
+	line := strings.Join(names, ", ")
+	if x.lines == nil {
+		x.lines = map[scrKey]string{}
+	}
+	x.lines[key] = line
+	return line
+}
+
+// members returns the values of loop l classified into head's family.
+// A loop's first family is found by a scan, all one explanation needs;
+// the second groups the whole loop by head φ, so explaining every
+// family costs two passes over the loop, not one per family.
+func (x *explainer) members(l *loops.Loop, head *ir.Value) []*ir.Value {
+	groups, scanned := x.groups[l]
+	if groups != nil {
+		return groups[head]
+	}
+	m := x.a.byLoop[l]
+	x.work += len(m)
+	if x.groups == nil {
+		x.groups = map[*loops.Loop]map[*ir.Value][]*ir.Value{}
+	}
+	if !scanned {
+		x.groups[l] = nil
+		var out []*ir.Value
+		for v, vc := range m {
+			if vc != nil && vc.HeadPhi == head {
+				out = append(out, v)
+			}
+		}
+		return out
+	}
+	groups = map[*ir.Value][]*ir.Value{}
 	for v, vc := range m {
-		if vc != nil && vc.HeadPhi == c.HeadPhi {
-			out = append(out, v)
+		if vc != nil && vc.HeadPhi != nil {
+			groups[vc.HeadPhi] = append(groups[vc.HeadPhi], v)
 		}
 	}
-	slices.SortFunc(out, ir.ByID)
-	return out
+	x.groups[l] = groups
+	return groups[head]
+}
+
+// explain writes v's provenance chain in loop l: the rule that fired
+// (by paper section), its detail, the SCR members the rule consumed, and
+// the feeding classifications, recursively.
+func (x *explainer) explain(sb *strings.Builder, l *loops.Loop, v *ir.Value) {
+	c := x.a.ClassOf(l, v)
+	label := "?"
+	if l != nil {
+		label = l.Label
+	}
+	fmt.Fprintf(sb, "%s in loop %s: %s\n", v, label, c)
+	x.chain(sb, c, 1)
+}
+
+func (x *explainer) chain(sb *strings.Builder, c *Classification, depth int) {
+	if c == nil || depth > 6 {
+		return
+	}
+	pad := strings.Repeat("  ", depth)
+	fmt.Fprintf(sb, "%srule: %s\n", pad, ruleOf(c))
+	fmt.Fprintf(sb, "%s      %s\n", pad, ruleDetail(c))
+	if members := x.scr(c); members != "" {
+		fmt.Fprintf(sb, "%s      SCR {%s}\n", pad, members)
+	}
+	if c.Kind == WrapAround && c.Inner != nil {
+		fmt.Fprintf(sb, "%sfed by carried value: %s\n", pad, c.Inner)
+		x.chain(sb, c.Inner, depth+1)
+	}
+	if c.Beta != nil {
+		fmt.Fprintf(sb, "%sfed by recurrence step β = %s\n", pad, c.Beta)
+		x.chain(sb, c.Beta, depth+1)
+	}
 }
 
 // Explain renders the provenance chain of v's classification in loop l:
@@ -187,42 +304,8 @@ func (a *Analysis) scrMembers(c *Classification) []*ir.Value {
 // the rule consumed, and the feeding classifications, recursively.
 func (a *Analysis) Explain(l *loops.Loop, v *ir.Value) string {
 	var sb strings.Builder
-	c := a.ClassOf(l, v)
-	label := "?"
-	if l != nil {
-		label = l.Label
-	}
-	fmt.Fprintf(&sb, "%s in loop %s: %s\n", v, label, c)
-	a.explainChain(&sb, c, 1)
+	(&explainer{a: a}).explain(&sb, l, v)
 	return sb.String()
-}
-
-func (a *Analysis) explainChain(sb *strings.Builder, c *Classification, depth int) {
-	if c == nil || depth > 6 {
-		return
-	}
-	pad := strings.Repeat("  ", depth)
-	fmt.Fprintf(sb, "%srule: %s\n", pad, ruleOf(c))
-	fmt.Fprintf(sb, "%s      %s\n", pad, ruleDetail(c))
-	if members := a.scrMembers(c); len(members) > 0 {
-		names := make([]string, len(members))
-		for i, m := range members {
-			s := m.String()
-			if m.Op == ir.OpPhi {
-				s = "φ " + s
-			}
-			names[i] = s
-		}
-		fmt.Fprintf(sb, "%s      SCR {%s}\n", pad, strings.Join(names, ", "))
-	}
-	if c.Kind == WrapAround && c.Inner != nil {
-		fmt.Fprintf(sb, "%sfed by carried value: %s\n", pad, c.Inner)
-		a.explainChain(sb, c.Inner, depth+1)
-	}
-	if c.Beta != nil {
-		fmt.Fprintf(sb, "%sfed by recurrence step β = %s\n", pad, c.Beta)
-		a.explainChain(sb, c.Beta, depth+1)
-	}
 }
 
 // ExplainVar renders the provenance chains for every classified value
@@ -230,19 +313,9 @@ func (a *Analysis) explainChain(sb *strings.Builder, c *Classification, depth in
 // (innermost first). An empty result means no such variable exists.
 func (a *Analysis) ExplainVar(name string) string {
 	var sb strings.Builder
-	for _, l := range a.Forest.InnerToOuter() {
-		m := a.byLoop[l]
-		vals := make([]*ir.Value, 0, len(m))
-		for v := range m {
-			if a.varMatches(v, name) {
-				vals = append(vals, v)
-			}
-		}
-		slices.SortFunc(vals, ir.ByID)
-		for _, v := range vals {
-			sb.WriteString(a.Explain(l, v))
-		}
-	}
+	x := &explainer{a: a}
+	x.each(func(v *ir.Value) bool { return a.varMatches(v, name) },
+		func(l *loops.Loop, v *ir.Value) { x.explain(&sb, l, v) })
 	return sb.String()
 }
 
@@ -255,32 +328,71 @@ func (a *Analysis) ExplainVar(name string) string {
 // correspond position by position, which is what lets the codec align
 // per-key provenance texts between a program and its rename twin.
 func (a *Analysis) ExplainKeys() []string {
-	var keys []string
-	seen := map[string]bool{}
-	add := func(k string) {
-		if k != "" && !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
-	for _, l := range a.Forest.InnerToOuter() {
-		m := a.byLoop[l]
-		vals := make([]*ir.Value, 0, len(m))
-		for v := range m {
-			if v.Name != "" {
-				vals = append(vals, v)
-			}
-		}
-		slices.SortFunc(vals, ir.ByID)
-		for _, v := range vals {
-			add(v.Name)
-			add(strings.TrimRight(v.Name, "0123456789"))
-			if a.SSA != nil {
-				add(a.SSA.VarOf(v))
-			}
-		}
-	}
+	keys, _, _ := (&explainer{a: a}).all(false)
 	return keys
+}
+
+// ExplainAll is ExplainKeys and, for each key, ExplainVar's text, in one
+// pass: each value's chain is rendered once and appended to the texts
+// of the (at most three) keys that name it, so the whole table costs
+// the text it holds.
+func (a *Analysis) ExplainAll() (keys, texts []string) {
+	keys, texts, _ = (&explainer{a: a}).all(true)
+	return keys, texts
+}
+
+// all is ExplainAll, or ExplainKeys when render is false, also
+// returning the renderer's work.
+func (x *explainer) all(render bool) (keys, texts []string, work int) {
+	index := map[string]int{}
+	var bufs []*strings.Builder
+	x.each(func(v *ir.Value) bool { return v.Name != "" }, func(l *loops.Loop, v *ir.Value) {
+		chain := ""
+		names, n := x.a.namesOf(v)
+		for _, k := range names[:n] {
+			i, ok := index[k]
+			if !ok {
+				i = len(keys)
+				index[k] = i
+				keys = append(keys, k)
+				if render {
+					bufs = append(bufs, &strings.Builder{})
+				}
+			}
+			if render {
+				if chain == "" {
+					var sb strings.Builder
+					x.explain(&sb, l, v)
+					chain = sb.String()
+				}
+				bufs[i].WriteString(chain)
+			}
+		}
+	})
+	if render {
+		texts = make([]string, len(bufs))
+		for i, b := range bufs {
+			texts[i] = b.String()
+		}
+	}
+	return keys, texts, x.work
+}
+
+// namesOf is the distinct names varMatches accepts for v, which has an
+// SSA name, in ExplainKeys order: that name, it with the version suffix
+// stripped, and the renamer's source-variable record.
+func (a *Analysis) namesOf(v *ir.Value) (names [3]string, n int) {
+	source := ""
+	if a.SSA != nil {
+		source = a.SSA.VarOf(v)
+	}
+	for _, k := range [3]string{v.Name, strings.TrimRight(v.Name, "0123456789"), source} {
+		if k != "" && !slices.Contains(names[:n], k) {
+			names[n] = k
+			n++
+		}
+	}
+	return names, n
 }
 
 // varMatches reports whether v is a version of the named variable: an

@@ -23,6 +23,7 @@ package ssa
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"beyondiv/internal/dom"
@@ -84,17 +85,19 @@ func BuildGuarded(f *ir.Func, rec *obs.Recorder, lim guard.Limits) *Info {
 // build. Only working storage is arena-backed — everything retained in
 // the returned Info is freshly allocated.
 func BuildScratch(f *ir.Func, rec *obs.Recorder, lim guard.Limits, ar *scratch.Arena) *Info {
+	if ar != nil {
+		return build(f, rec, lim, scratch.Get[buildScratch](&ar.SSA))
+	}
+	return build(f, rec, lim, &buildScratch{})
+}
+
+// build is BuildScratch on the scratch tables scr.
+func build(f *ir.Func, rec *obs.Recorder, lim guard.Limits, scr *buildScratch) *Info {
 	span := rec.Phase("ssa")
 	defer span.End()
 	sub := rec.Phase("dom")
 	tree := dom.New(f)
 	sub.End()
-	var scr *buildScratch
-	if ar != nil {
-		scr = scratch.Get[buildScratch](&ar.SSA)
-	} else {
-		scr = &buildScratch{}
-	}
 	st := &state{
 		f:         f,
 		tree:      tree,
@@ -145,6 +148,8 @@ type buildScratch struct {
 	workGen  []uint32         // block ID → stamp: block already enqueued
 	gen      uint32           // current stamp for phiGen/workGen
 	work     []*ir.Block      // φ-placement worklist
+	newPhis  []int32          // block ID → φs placed in it (movePhis)
+	moveWork int              // slots movePhis touched (tests pin it linear)
 	pushed   []int32          // shared stack of pushed var indices (rename)
 	frames   []renameFrame    // explicit dominator-tree walk stack
 	valsA    []*ir.Value      // hoistParams split buffers
@@ -191,6 +196,8 @@ func (s *state) internVars() {
 	nb := s.f.NumBlocks()
 	scr.phiGen = scratch.Grow(scr.phiGen, nb)
 	scr.workGen = scratch.Grow(scr.workGen, nb)
+	scr.newPhis = scratch.Grow(scr.newPhis, nb)
+	scr.moveWork = 0
 	scr.gen = 0
 	s.info.varOf = make([]int32, 0, s.f.NumValues())
 }
@@ -215,7 +222,8 @@ func (s *state) setVarOf(def *ir.Value, x int32) {
 }
 
 // placePhis inserts φ values at the iterated dominance frontier of each
-// variable's store sites.
+// variable's store sites, then moves each block's φs to its front, where
+// renameBlock and the successor-φ fill expect them.
 func (s *state) placePhis() {
 	scr := s.scr
 	df := s.tree.Frontiers()
@@ -259,21 +267,35 @@ func (s *state) placePhis() {
 		}
 		scr.work = work[:0]
 	}
+	s.movePhis()
 }
 
-// newPhi creates a φ for variable name at the front of block w with one
-// slot per predecessor. The φ carries its variable in Var, which the
-// rename walk reads back.
+// newPhi appends a φ for variable name to block w with one slot per
+// predecessor, and counts it for movePhis. The φ carries its variable in
+// Var, which the rename walk reads back.
 func (s *state) newPhi(w *ir.Block, name string) *ir.Value {
 	guard.Check("ssa", "IR values", int64(s.f.NumValues()), int64(s.maxValues))
 	phi := s.f.NewValue(w, ir.OpPhi, make([]*ir.Value, len(w.Preds))...)
 	phi.Var = name
-	// NewValue appended it; move it before the block's other values so
-	// that φs execute first.
-	vals := w.Values
-	copy(vals[1:], vals[:len(vals)-1])
-	vals[0] = phi
+	s.scr.newPhis[w.ID]++
 	return phi
+}
+
+// movePhis moves the k φs NewValue appended to each block to its front,
+// newest first: the order that putting each φ first as it was made
+// gives. Reversing the block brings them to the front in that order and
+// reversing the rest restores the block's own order, in place and in
+// time linear in the block.
+func (s *state) movePhis() {
+	for _, b := range s.f.Blocks {
+		k := int(s.scr.newPhis[b.ID])
+		if k == 0 {
+			continue
+		}
+		slices.Reverse(b.Values)
+		slices.Reverse(b.Values[k:])
+		s.scr.moveWork += 2*len(b.Values) - k
+	}
 }
 
 func (s *state) currentDef(x int32) *ir.Value {
@@ -481,26 +503,67 @@ func (s *state) pruneDeadPhis() {
 // no scalar loads/stores remain; φ arity matches predecessor count; φ
 // arguments are defined; every non-φ use is dominated by its definition;
 // every φ argument's definition dominates the corresponding predecessor.
+// It runs in time linear in the function (see verify).
 func Verify(info *Info) []error {
+	errs, _ := verify(info)
+	return errs
+}
+
+// site is where a value is defined: the last block listing it, and its
+// first position there.
+type site struct {
+	b   *ir.Block
+	pos int32
+}
+
+// verify is Verify, also returning its work: the value, argument and
+// block slots it visited. Recording each value's position as the first
+// loop records its block makes the same-block "definition precedes use"
+// test one comparison.
+func verify(info *Info) (errs []error, work int) {
 	f, tree := info.Func, info.Dom
-	var errs []error
-	defBlock := make([]*ir.Block, f.NumValues())
+	sites := make([]site, f.NumValues())
 	for _, b := range f.Blocks {
-		for _, v := range b.Values {
-			defBlock[v.ID] = b
+		work += len(b.Values)
+		for i, v := range b.Values {
+			if sites[v.ID].b != b {
+				sites[v.ID] = site{b, int32(i)}
+			}
 		}
 	}
 	defOf := func(v *ir.Value) *ir.Block {
-		if v.ID >= 0 && v.ID < len(defBlock) {
-			return defBlock[v.ID]
+		if v.ID >= 0 && v.ID < len(sites) {
+			return sites[v.ID].b
 		}
 		return nil
 	}
+	// precedes reports whether b, which defines a and lists v, lists a
+	// first no later than v: a value precedes itself.
+	precedes := func(b *ir.Block, a, v *ir.Value) bool {
+		sa, sv := sites[a.ID], sites[v.ID]
+		if sv.b == b && b.Values[sa.pos] == a && b.Values[sv.pos] == v {
+			return sa.pos <= sv.pos
+		}
+		// Corrupt IR: a later block lists v too, or two values share an
+		// ID. Scan the block.
+		for _, w := range b.Values {
+			work++
+			if w == a {
+				return true
+			}
+			if w == v {
+				return false
+			}
+		}
+		return false
+	}
 	for _, b := range f.Blocks {
+		work++
 		if !tree.Reachable(b) {
 			continue
 		}
 		for _, v := range b.Values {
+			work += 1 + len(v.Args)
 			switch v.Op {
 			case ir.OpLoadVar, ir.OpStoreVar:
 				errs = append(errs, fmt.Errorf("%s: scalar %s survived SSA construction", v, v.Op))
@@ -548,17 +611,5 @@ func Verify(info *Info) []error {
 			}
 		}
 	}
-	return errs
-}
-
-func precedes(b *ir.Block, a, v *ir.Value) bool {
-	for _, w := range b.Values {
-		if w == a {
-			return true
-		}
-		if w == v {
-			return false
-		}
-	}
-	return false
+	return errs, work
 }

@@ -170,50 +170,8 @@ func planDistribution(st *engine.State, deps *depend.Result, f *ast.For, l *loop
 		return nil
 	}
 
-	// Dependence edges between statements.
-	n := len(stmts)
-	adj := make([][]bool, n)
-	for i := range adj {
-		adj[i] = make([]bool, n)
-	}
-	for _, d := range deps.Deps {
-		if d.Kind == depend.Input {
-			continue
-		}
-		si, okS := stmtOf[d.Src.Value]
-		di, okD := stmtOf[d.Dst.Value]
-		if okS && okD {
-			adj[si][di] = true
-		}
-	}
-	// Scalar coupling: statements that share an assigned scalar (def/def
-	// or def/use, in either textual order — a use before the def reads
-	// the previous iteration) must stay together.
-	for i, a := range stmts {
-		id, ok := a.LHS.(*ast.Ident)
-		if !ok {
-			continue
-		}
-		for j, b := range stmts {
-			if i == j {
-				continue
-			}
-			if stmtTouchesScalar(b, id.Name) {
-				adj[i][j] = true
-				adj[j][i] = true
-			}
-		}
-	}
-
-	comps := scc.Components(n, func(i int) []int {
-		var out []int
-		for j := 0; j < n; j++ {
-			if adj[i][j] {
-				out = append(out, j)
-			}
-		}
-		return out
-	})
+	succ, _ := coupling(stmts, stmtOf, deps)
+	comps := scc.Components(len(stmts), func(i int) []int { return succ[i] })
 	if len(comps) < 2 {
 		return nil
 	}
@@ -336,14 +294,59 @@ func exprReadsArrayAST(e ast.Expr) bool {
 	return false
 }
 
-// stmtTouchesScalar reports whether the assignment reads or writes the
-// named scalar anywhere (RHS, subscripts, or as its LHS).
-func stmtTouchesScalar(a *ast.Assign, name string) bool {
-	if id, ok := a.LHS.(*ast.Ident); ok && id.Name == name {
-		return true
+// coupling is the statement dependence graph, as each statement's
+// successors in ascending order without repeats (Tarjan's emit order,
+// and with it the split loops' order and labels, follows that order),
+// and the work spent building it. Its edges are the §6 tester's
+// dependences between the statements owning their accesses, and scalar
+// coupling: statements that share an assigned scalar (def/def or
+// def/use, in either textual order — a use before the def reads the
+// previous iteration) must stay together. Collecting each statement's
+// scalars once and indexing statements by the scalars they touch makes
+// the graph cost O(statements + edges).
+func coupling(stmts []*ast.Assign, stmtOf map[*ir.Value]int, deps *depend.Result) (succ [][]int, work int) {
+	// Edges are gathered by target, then read out target by target, so
+	// each successor list comes out ascending.
+	preds := make([][]int, len(stmts))
+	for _, d := range deps.Deps {
+		work++
+		if d.Kind == depend.Input {
+			continue
+		}
+		si, okS := stmtOf[d.Src.Value]
+		di, okD := stmtOf[d.Dst.Value]
+		if okS && okD {
+			preds[di] = append(preds[di], si)
+		}
 	}
-	if idx, ok := a.LHS.(*ast.Index); ok && varsOf(idx.Sub)[name] {
-		return true
+	touching := map[string][]int{} // scalar → the statements reading or writing it
+	for j, a := range stmts {
+		for name := range varsOf(a.LHS, a.RHS) {
+			work++
+			touching[name] = append(touching[name], j)
+		}
 	}
-	return varsOf(a.RHS)[name]
+	for i, a := range stmts {
+		id, ok := a.LHS.(*ast.Ident)
+		if !ok {
+			continue
+		}
+		for _, j := range touching[id.Name] {
+			work++
+			if j != i {
+				preds[j] = append(preds[j], i)
+				preds[i] = append(preds[i], j)
+			}
+		}
+	}
+	succ = make([][]int, len(stmts))
+	for j, ps := range preds {
+		for _, i := range ps {
+			work++
+			if k := len(succ[i]); k == 0 || succ[i][k-1] != j {
+				succ[i] = append(succ[i], j)
+			}
+		}
+	}
+	return succ, work
 }
