@@ -119,9 +119,6 @@ func (t *Telemetry) RegisterObsFlags() {
 	flag.StringVar(&t.DebugAddr, "debug-addr", "", "serve /metrics, /healthz, /lastruns and /debug/pprof on `addr` (e.g. localhost:6060) while the command runs")
 }
 
-// RegisterFlags is RegisterObsFlags under its historical name.
-func (t *Telemetry) RegisterFlags() { t.RegisterObsFlags() }
-
 // Recorder returns the recorder to thread through the pipeline: non-nil
 // exactly when some flag needs a recording, nil (telemetry off at zero
 // cost) otherwise.

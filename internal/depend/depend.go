@@ -29,7 +29,6 @@ import (
 	"beyondiv/internal/iv"
 	"beyondiv/internal/loops"
 	"beyondiv/internal/obs"
-	"beyondiv/internal/obs/metrics"
 	"beyondiv/internal/scratch"
 )
 
@@ -213,6 +212,9 @@ type Result struct {
 	// when the run tested no affine equation; immutable once Analyze
 	// returns.
 	verdicts map[string]*verdict
+	// fanout is the parallel pair sweep's pairs and workers, zero for a
+	// sequential sweep; Pass publishes it.
+	fanout struct{ pairs, workers int }
 }
 
 // Options configure the analysis.
@@ -241,9 +243,6 @@ type Options struct {
 	// order, bit-identical to the sequential sweep. Excluded from
 	// Fingerprint.
 	Workers int
-	// Metrics, when non-nil, receives the engine.par.* fan-out
-	// counters. Nil-off; excluded from Fingerprint.
-	Metrics *metrics.Registry
 }
 
 // Fingerprint identifies the option fields that change analysis

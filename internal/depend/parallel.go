@@ -115,10 +115,7 @@ func testParallel(r *Result, t *tester, byArray map[string][]*Access, arrays []s
 		wts[w] = wt
 	}
 
-	reg := t.opts.Metrics
-	reg.Inc("engine.par.depend.runs")
-	reg.Add("engine.par.depend.pairs", int64(n))
-	reg.SetGauge("engine.par.workers", int64(workers))
+	r.fanout.pairs, r.fanout.workers = n, workers
 
 	deps := make([][]*Dependence, n)
 	indep := make([]bool, n)

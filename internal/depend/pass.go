@@ -14,7 +14,8 @@ const ArtifactKey = "depend"
 // the *Result under ArtifactKey, rethreading the run's recorder,
 // limits, and scratch arena like every engine pass. A re-analysis
 // (the engine rerunning the pass after a transform) reuses the affine
-// verdicts of the Result it replaces.
+// verdicts of the Result it replaces. A sweep that fanned out is
+// published: engine.par.depend.{runs,pairs}, gauge engine.par.workers.
 func Pass(opts Options) engine.Pass {
 	return engine.Pass{Name: "depend", Run: func(st *engine.State) error {
 		o := opts
@@ -22,8 +23,13 @@ func Pass(opts Options) engine.Pass {
 		o.Limits = st.Lim()
 		o.Scratch = st.Scratch()
 		o.Workers = st.Par()
-		o.Metrics = st.Metrics()
-		st.Put(ArtifactKey, analyzeAfter(iv.AnalysisOf(st), o, ResultOf(st)))
+		r := analyzeAfter(iv.AnalysisOf(st), o, ResultOf(st))
+		if f := r.fanout; f.workers > 0 {
+			st.Add("engine.par.depend.runs", 1)
+			st.Add("engine.par.depend.pairs", int64(f.pairs))
+			st.SetGauge("engine.par.workers", int64(f.workers))
+		}
+		st.Put(ArtifactKey, r)
 		return nil
 	}}
 }

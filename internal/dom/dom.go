@@ -169,6 +169,9 @@ func (t *Tree) Dominates(a, b *ir.Block) bool {
 // (computed once at construction).
 func (t *Tree) ReversePostorder() []*ir.Block { return t.rpo }
 
+// RPOIndex returns b's position in ReversePostorder, -1 if unreachable.
+func (t *Tree) RPOIndex(b *ir.Block) int { return t.rpoIndex[b.ID] }
+
 // Frontiers computes the dominance frontier of every reachable block,
 // indexed by block ID (Cytron et al., §4.2): DF(b) contains each block w
 // such that b dominates a predecessor of w but does not strictly

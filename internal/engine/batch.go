@@ -45,18 +45,9 @@ func (e *Engine) AnalyzeAll(sources []string) []Item {
 // cancellation error instead of an analysis. The result slice always
 // has one entry per input, in input order.
 func (e *Engine) AnalyzeAllContext(ctx context.Context, sources []string) []Item {
-	rec := e.cfg.Obs
-	span := rec.Phase("analyze-all")
-	defer span.End()
-
-	lim := e.cfg.Limits
-	lim.Pool = guard.NewPool(e.cfg.BatchSteps)
-	lim.Ctx = ctx
-	defer e.poolGauges(lim.Pool)
-
 	par := e.batchPar(len(sources))
 	items := make([]Item, len(sources))
-	e.fanOut(ctx, len(sources), rec, func(i int, wrec *obs.Recorder) {
+	e.fanOut(ctx, "analyze-all", len(sources), func(i int, wrec *obs.Recorder, lim guard.Limits) {
 		st, err := e.analyze(sources[i], wrec, lim, par, false)
 		items[i] = Item{Index: i, Source: sources[i], State: st, Err: err}
 	}, func(i int, ce *guard.CancelError) {
@@ -93,15 +84,30 @@ func (e *Engine) batchPar(n int) int {
 }
 
 // fanOut runs n indexed work items over the engine's bounded worker
-// pool, the shared scheduling core of AnalyzeAll and OptimizeAll: the
-// inline single-worker path keeps the caller's recorder and span shape,
-// the concurrent path forks one recorder per worker and absorbs them
-// back in worker order. A cancelled ctx stops the dispatcher; every
-// index that was never handed to a worker is reported through
+// pool, the shared core of AnalyzeAll and OptimizeAll: one span named
+// phase, the engine's limits plus the batch's shared step pool (whose
+// state it publishes as gauges when done), and the batch counters. The
+// inline single-worker path keeps the configured recorder and span
+// shape, the concurrent path forks one recorder per worker and absorbs
+// them back in worker order. A cancelled ctx stops the dispatcher;
+// every index that was never handed to a worker is reported through
 // cancelled (with a batch-attributed *guard.CancelError) instead of
 // work, so callers always produce one result per input.
-func (e *Engine) fanOut(ctx context.Context, n int, rec *obs.Recorder,
-	work func(i int, wrec *obs.Recorder), cancelled func(i int, ce *guard.CancelError)) {
+func (e *Engine) fanOut(ctx context.Context, phase string, n int,
+	work func(i int, wrec *obs.Recorder, lim guard.Limits), cancelled func(i int, ce *guard.CancelError)) {
+	rec := e.cfg.Obs
+	span := rec.Phase(phase)
+	defer span.End()
+	s := sink{rec: rec, reg: e.cfg.Metrics}
+	lim := e.cfg.Limits
+	lim.Pool = guard.NewPool(e.cfg.BatchSteps)
+	lim.Ctx = ctx
+	if pool := lim.Pool; pool != nil && s.reg != nil {
+		defer func() {
+			s.SetGauge("guard.pool.limit", pool.Limit())
+			s.SetGauge("guard.pool.remaining", pool.Remaining())
+		}()
+	}
 	jobs := e.cfg.Jobs
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)
@@ -109,11 +115,9 @@ func (e *Engine) fanOut(ctx context.Context, n int, rec *obs.Recorder,
 	if jobs > n {
 		jobs = n
 	}
-	if e.ins != nil {
-		e.ins.count("engine.batch")
-		e.ins.reg.Add("engine.batch.sources", int64(n))
-		e.ins.reg.SetGauge("engine.batch.workers", int64(jobs))
-	}
+	s.Add("engine.batch", 1)
+	s.Add("engine.batch.sources", int64(n))
+	s.SetGauge("engine.batch.workers", int64(jobs))
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
@@ -129,7 +133,7 @@ func (e *Engine) fanOut(ctx context.Context, n int, rec *obs.Recorder,
 					continue
 				}
 			}
-			work(i, rec)
+			work(i, rec, lim)
 		}
 		return
 	}
@@ -140,14 +144,14 @@ func (e *Engine) fanOut(ctx context.Context, n int, rec *obs.Recorder,
 	for w := 0; w < jobs; w++ {
 		recs[w] = rec.Fork()
 		wg.Add(1)
-		go func(w int, wrec *obs.Recorder) {
+		go func(w int, wrec *obs.Recorder, lim guard.Limits) {
 			defer wg.Done()
 			wspan := wrec.Phase(fmt.Sprintf("worker %d", w))
 			defer wspan.End()
 			for i := range idx {
-				work(i, wrec)
+				work(i, wrec, lim)
 			}
-		}(w, recs[w])
+		}(w, recs[w], lim)
 	}
 dispatch:
 	for i := 0; i < n; i++ {
@@ -170,14 +174,4 @@ dispatch:
 	for _, wrec := range recs {
 		rec.Absorb(wrec)
 	}
-}
-
-// poolGauges publishes a finished batch's shared-step-pool state —
-// how much of the ceiling the batch left unspent.
-func (e *Engine) poolGauges(pool *guard.Pool) {
-	if e.ins == nil || pool == nil {
-		return
-	}
-	e.ins.reg.SetGauge("guard.pool.limit", pool.Limit())
-	e.ins.reg.SetGauge("guard.pool.remaining", pool.Remaining())
 }

@@ -68,13 +68,12 @@ type State struct {
 	Forest *loops.Forest
 	Consts *sccp.Result
 
-	rec     *obs.Recorder
+	sink    // the run's counter write path: State.Add, State.SetGauge
 	lim     guard.Limits
 	extra   map[string]any
 	scratch *scratch.Arena
 	art     *codec.Artifact
 	par     int
-	reg     *metrics.Registry
 }
 
 // Decoded returns the serialized artifact this state was reconstituted
@@ -104,12 +103,6 @@ func (s *State) Scratch() *scratch.Arena { return s.scratch }
 // batch workers times intra-run workers never oversubscribes the
 // machine.
 func (s *State) Par() int { return s.par }
-
-// Metrics returns the engine's process-lifetime registry (nil when no
-// metrics backend is configured); the dependence pass publishes its
-// engine.par.* fan-out counters into it, and transform passes their
-// engine.xform.* counters.
-func (s *State) Metrics() *metrics.Registry { return s.reg }
 
 // Put stores a contributed pass's artifact under key.
 func (s *State) Put(key string, artifact any) { s.extra[key] = artifact }
@@ -329,66 +322,45 @@ func (e *Engine) AnalyzeContext(ctx context.Context, source string) (*State, err
 // go on to mutate or inspect the object graphs (the optimizer): they
 // must not be answered with a decoded disk artifact or a decoded
 // in-memory entry.
-func (e *Engine) analyze(source string, rec *obs.Recorder, lim guard.Limits, par int, needLive bool) (*State, error) {
-	span := rec.Phase("analyze")
-	defer span.End()
-	var start time.Time
-	if e.ins != nil {
-		start = time.Now()
-	}
+func (e *Engine) analyze(source string, rec *obs.Recorder, lim guard.Limits, par int, needLive bool) (_ *State, err error) {
+	r := e.open(rec, "analyze")
+	r.source = source
+	defer r.span.End()
+	defer func() { r.analyzed(err) }()
 
 	var key cacheKey
 	if e.cache != nil {
 		key = keyOf(source)
 		if st := e.cache.get(key); st != nil && !(needLive && st.art != nil) {
-			rec.Count("engine.cache.hit")
-			if e.ins != nil {
-				e.ins.count("engine.cache.hit")
-				e.ins.record(source, start, time.Since(start), span, nil, true)
-			}
+			r.Add("engine.cache.hit", 1)
+			r.cached = true
 			return st, nil
 		}
-		rec.Count("engine.cache.miss")
-		if e.ins != nil {
-			e.ins.count("engine.cache.miss")
-		}
+		r.Add("engine.cache.miss", 1)
 	}
 
 	// Disk tier, fast path: an alias record for this exact source and
 	// fingerprint resolves straight to an artifact — zero passes run.
 	diskRead := e.cfg.Store != nil && !e.cfg.StoreWriteOnly && !needLive
 	if diskRead {
-		if art := e.aliasGet(source, rec); art != nil {
-			st := &State{Source: source, rec: rec, lim: lim, extra: map[string]any{}, art: art}
-			if e.cache != nil {
-				e.cache.put(key, st)
-			}
-			if e.ins != nil {
-				e.ins.record(source, start, time.Since(start), span, nil, true)
-			}
+		if art := e.aliasGet(source, r.sink); art != nil {
+			st := &State{Source: source, sink: r.sink, lim: lim, extra: map[string]any{}, art: art}
+			e.remember(r.sink, key, st)
+			r.cached = true
 			return st, nil
 		}
 	}
 
 	ar := e.arenas.Get()
-	st := &State{Source: source, rec: rec, lim: lim, extra: map[string]any{}, scratch: ar, par: par}
-	if e.ins != nil {
-		st.reg = e.ins.reg
-	}
-	// Chain cumulative time.Since(start) readings across pass
-	// boundaries: each pass's duration is the delta to the previous
-	// boundary. Since only reads the monotonic clock — measurably
-	// cheaper than time.Now's wall+monotonic pair — so the metrics
-	// tier costs one monotonic read per pass.
-	var mark time.Duration
-	if e.ins != nil {
-		mark = time.Since(start)
+	st := &State{Source: source, sink: r.sink, lim: lim, extra: map[string]any{}, scratch: ar, par: par}
+	if r.in != nil {
+		r.mark = time.Since(r.start) // the first pass's clock starts after the lookups
 	}
 	var structSum [32]byte
 	var structNames []string
 	haveStruct := false
 	for i, p := range e.cfg.Passes {
-		err := runPass(lim, p, st)
+		err = runPass(lim, p, st)
 		if err == nil {
 			// Pass-boundary cancellation check: phases that sleep or do
 			// unmetered work (no budget steps) still stop at the next
@@ -398,22 +370,16 @@ func (e *Engine) analyze(source string, rec *obs.Recorder, lim guard.Limits, par
 				err = &Error{Phase: ce.Phase, Err: ce}
 			}
 		}
-		if e.ins != nil {
-			d := time.Since(start)
-			e.ins.pass(p.Name, d-mark)
-			mark = d
+		if r.in != nil { // chained clock: one monotonic reading per pass boundary
+			d := time.Since(r.start)
+			r.in.pass(p.Name, d-r.mark)
+			r.mark = d
 		}
 		if err != nil {
 			// Scratch tables self-reset on acquisition, so the arena is
 			// reusable even after a contained mid-pass fault.
 			st.scratch = nil
 			e.arenas.Put(ar)
-			if e.ins != nil {
-				e.ins.fail(err)
-				// mark was read just after the failing pass — no extra
-				// clock read needed.
-				e.ins.record(source, start, mark, span, err, false)
-			}
 			return nil, err
 		}
 		// Disk tier, structural path: once the source is parsed its
@@ -425,25 +391,18 @@ func (e *Engine) analyze(source string, rec *obs.Recorder, lim guard.Limits, par
 			structSum, structNames = codec.StructuralHash(st.File)
 			haveStruct = true
 			if diskRead {
-				if art := e.entryGet(structSum, structNames, rec, "engine.store.hit.struct"); art != nil {
+				if art := e.entryGet(structSum, structNames, r.sink, "engine.store.hit.struct"); art != nil {
 					// Leave an alias so this exact source skips even the
 					// parse from now on.
 					e.cfg.Store.Put(e.aliasKey(source), codec.EncodeAlias(structSum, structNames))
 					st.art = art
 					st.scratch = nil
 					e.arenas.Put(ar)
-					if e.cache != nil {
-						e.cache.put(key, st)
-					}
-					if e.ins != nil {
-						e.ins.record(source, start, mark, span, nil, true)
-					}
+					e.remember(r.sink, key, st)
+					r.cached = true
 					return st, nil
 				}
-				rec.Count("engine.store.miss")
-				if e.ins != nil {
-					e.ins.count("engine.store.miss")
-				}
+				r.Add("engine.store.miss", 1)
 			}
 		}
 	}
@@ -452,25 +411,21 @@ func (e *Engine) analyze(source string, rec *obs.Recorder, lim guard.Limits, par
 	st.scratch = nil
 	e.arenas.Put(ar)
 	if haveStruct && e.cfg.BuildArtifact != nil {
-		e.diskWrite(st, structSum, structNames, rec)
+		e.diskWrite(st, structSum, structNames)
 	}
-	if e.cache != nil {
-		if evicted := e.cache.put(key, st); evicted > 0 {
-			rec.Add("engine.cache.evict", evicted)
-			if e.ins != nil {
-				e.ins.reg.Add("engine.cache.evict", evicted)
-			}
-		}
-	}
-	if e.ins != nil {
-		// mark, read at the last pass boundary, doubles as the run's
-		// duration; the cache put and disk write between there and here
-		// are noise.
-		e.ins.pass("analyze", mark)
-		e.ins.allocs(span)
-		e.ins.record(source, start, mark, span, nil, false)
-	}
+	e.remember(r.sink, key, st)
 	return st, nil
+}
+
+// remember puts a successful run's state in the memory cache, when
+// there is one, and counts the entries that makes it evict.
+func (e *Engine) remember(s sink, key cacheKey, st *State) {
+	if e.cache == nil {
+		return
+	}
+	if n := e.cache.put(key, st); n > 0 {
+		s.Add("engine.cache.evict", n)
+	}
 }
 
 // runPass runs one pass with fault containment: any panic — a guard

@@ -5,7 +5,6 @@ import (
 	"errors"
 
 	"beyondiv/internal/codec"
-	"beyondiv/internal/obs"
 )
 
 // Disk-tier key derivation. Two key families share the store, separated
@@ -42,18 +41,10 @@ func (e *Engine) entryKey(structSum [32]byte) [32]byte {
 	return k
 }
 
-// storeCount bumps a disk-tier counter on both telemetry backends.
-func (e *Engine) storeCount(rec *obs.Recorder, name string) {
-	rec.Count(name)
-	if e.ins != nil {
-		e.ins.count(name)
-	}
-}
-
 // aliasGet resolves the exact-source alias for source, then decodes the
 // structural entry it points at under the alias's name table. Any
 // corrupt blob on the way is counted, deleted and treated as a miss.
-func (e *Engine) aliasGet(source string, rec *obs.Recorder) *codec.Artifact {
+func (e *Engine) aliasGet(source string, s sink) *codec.Artifact {
 	ak := e.aliasKey(source)
 	data, ok := e.cfg.Store.Get(ak)
 	if !ok {
@@ -61,19 +52,18 @@ func (e *Engine) aliasGet(source string, rec *obs.Recorder) *codec.Artifact {
 	}
 	structSum, names, err := codec.DecodeAlias(data)
 	if err != nil {
-		e.cfg.Store.Delete(ak)
-		e.storeCount(rec, "engine.store.corrupt")
+		e.discard(s, ak)
 		return nil
 	}
-	return e.entryGet(structSum, names, rec, "engine.store.hit.alias")
+	return e.entryGet(structSum, names, s, "engine.store.hit.alias")
 }
 
 // entryGet reads and decodes the structural entry for structSum under
-// the requester's name table. A corrupt entry is deleted and counted; a
-// valid entry that cannot serve this table (not renameable, or a
-// remap-invariant violation) is kept for its own sources and reported
-// as a miss.
-func (e *Engine) entryGet(structSum [32]byte, names []string, rec *obs.Recorder, kind string) *codec.Artifact {
+// the requester's name table, counting a hit as engine.store.hit and
+// as kind. A corrupt entry is deleted and counted; a valid entry that
+// cannot serve this table (not renameable, or a remap-invariant
+// violation) is kept for its own sources and reported as a miss.
+func (e *Engine) entryGet(structSum [32]byte, names []string, s sink, kind string) *codec.Artifact {
 	ek := e.entryKey(structSum)
 	data, ok := e.cfg.Store.Get(ek)
 	if !ok {
@@ -82,21 +72,26 @@ func (e *Engine) entryGet(structSum [32]byte, names []string, rec *obs.Recorder,
 	art, err := codec.Decode(data, names)
 	if err != nil {
 		if errors.Is(err, codec.ErrCorrupt) {
-			e.cfg.Store.Delete(ek)
-			e.storeCount(rec, "engine.store.corrupt")
+			e.discard(s, ek)
 		}
 		return nil
 	}
-	e.storeCount(rec, "engine.store.hit")
-	e.storeCount(rec, kind)
+	s.Add("engine.store.hit", 1)
+	s.Add(kind, 1)
 	return art
+}
+
+// discard deletes a blob that failed to decode and counts it.
+func (e *Engine) discard(s sink, key [32]byte) {
+	e.cfg.Store.Delete(key)
+	s.Add("engine.store.corrupt", 1)
 }
 
 // diskWrite persists a fresh successful run: the encoded artifact under
 // the structural key, plus an alias for the exact source that produced
 // it. Serialization or I/O failures only cost persistence — the live
 // result has already been computed and is returned regardless.
-func (e *Engine) diskWrite(st *State, structSum [32]byte, structNames []string, rec *obs.Recorder) {
+func (e *Engine) diskWrite(st *State, structSum [32]byte, structNames []string) {
 	data, err := e.cfg.BuildArtifact(st, structSum, structNames)
 	if err != nil || data == nil {
 		return
@@ -106,11 +101,8 @@ func (e *Engine) diskWrite(st *State, structSum [32]byte, structNames []string, 
 		return
 	}
 	e.cfg.Store.Put(e.aliasKey(st.Source), codec.EncodeAlias(structSum, structNames))
-	e.storeCount(rec, "engine.store.write")
+	st.Add("engine.store.write", 1)
 	if evicted > 0 {
-		rec.Add("engine.store.evict", int64(evicted))
-		if e.ins != nil {
-			e.ins.reg.Add("engine.store.evict", int64(evicted))
-		}
+		st.Add("engine.store.evict", int64(evicted))
 	}
 }

@@ -183,6 +183,49 @@ func TestDiskStoreCorruptionRecovers(t *testing.T) {
 	}
 }
 
+// TestCacheEvictionsCounted: a capacity-1 memory cache analyzing A, B,
+// A evicts twice, and both sinks count both evictions whether the runs
+// were fresh or answered by the store's alias or structural tier.
+func TestCacheEvictionsCounted(t *testing.T) {
+	a, b := persistSrc, "x = 1\n"
+	edited := func(src string) string { return "// edited\n" + src }
+	disk, err := store.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := New(persistConfig(disk, nil, nil))
+	for _, src := range []string{a, b} {
+		if _, err := warm.Analyze(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		disk *store.Store
+		srcs []string
+	}{
+		{"fresh", nil, []string{a, b, a}},
+		{"alias hits", disk, []string{a, b, a}},
+		{"structural hits", disk, []string{edited(a), edited(b), edited(edited(a))}},
+	} {
+		reg, rec := metrics.NewRegistry(), obs.New()
+		cfg := persistConfig(tc.disk, reg, rec)
+		cfg.CacheEntries = 1
+		e := New(cfg)
+		for _, src := range tc.srcs {
+			if _, err := e.Analyze(src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if tc.disk != nil && rec.Counter("engine.store.hit") != 3 {
+			t.Errorf("%s: %d store hits, want 3", tc.name, rec.Counter("engine.store.hit"))
+		}
+		if r, g := rec.Counter("engine.cache.evict"), reg.Counter("engine.cache.evict"); r != 2 || g != 2 {
+			t.Errorf("%s: engine.cache.evict recorder %d, registry %d, want 2", tc.name, r, g)
+		}
+	}
+}
+
 func TestStoreWriteOnly(t *testing.T) {
 	dir := t.TempDir()
 	disk, _ := store.Open(dir, 0)

@@ -25,7 +25,6 @@ import (
 	"context"
 	"errors"
 	"slices"
-	"time"
 
 	"beyondiv/internal/ast"
 	"beyondiv/internal/cfgbuild"
@@ -174,21 +173,19 @@ func (e *Engine) OptimizeContext(ctx context.Context, source string) (*Optimized
 	return e.optimize(source, e.cfg.Obs, lim)
 }
 
-func (e *Engine) optimize(source string, rec *obs.Recorder, lim guard.Limits) (*Optimized, error) {
-	span := rec.Phase("optimize")
-	defer span.End()
-	var start time.Time
-	if e.ins != nil {
-		start = time.Now()
-	}
+func (e *Engine) optimize(source string, rec *obs.Recorder, lim guard.Limits) (_ *Optimized, err error) {
+	r := e.open(rec, "optimize")
+	r.source = source
+	defer r.span.End()
 
 	orig, err := e.analyze(source, rec, lim, e.par, true)
 	if err != nil {
-		return nil, err
+		return nil, err // the analysis published its own failure
 	}
 	if len(e.cfg.Transforms) == 0 {
 		return &Optimized{Original: orig, State: orig, Rounds: 0}, nil
 	}
+	defer func() { r.optimized(err) }()
 
 	ar := e.arenas.Get()
 	extra := make(map[string]any, len(orig.extra))
@@ -202,32 +199,17 @@ func (e *Engine) optimize(source string, rec *obs.Recorder, lim guard.Limits) (*
 		SSA:     orig.SSA,
 		Forest:  orig.Forest,
 		Consts:  orig.Consts,
-		rec:     rec,
+		sink:    r.sink,
 		lim:     lim,
 		extra:   extra,
 		scratch: ar,
 		par:     e.par,
 	}
-	if e.ins != nil {
-		st.reg = e.ins.reg
-	}
-	r := &optimizer{e: e, orig: orig, st: st}
-	out, err := r.run()
+	out, err := (&optimizer{e: e, orig: orig, st: st}).run()
 	// Detach before the state escapes; the arena is reusable even after
 	// a contained fault (tables self-reset on acquisition).
 	st.scratch = nil
 	e.arenas.Put(ar)
-	if e.ins != nil {
-		dur := time.Since(start)
-		e.ins.pass("optimize", dur)
-		if err != nil {
-			// The analysis succeeded (it recorded its own run above);
-			// this failure is the transform stage's, so the flight
-			// recorder gets a second, failed entry for the source.
-			e.ins.fail(err)
-			e.ins.record(source, start, dur, span, err, false)
-		}
-	}
 	return out, err
 }
 
@@ -252,15 +234,10 @@ type optimizer struct {
 }
 
 func (r *optimizer) run() (*Optimized, error) {
-	rec := r.st.rec
-	ins := r.e.ins
 	rounds := 0
 	for round := 1; round <= MaxRounds; round++ {
 		rounds = round
-		rec.Count("engine.opt.rounds")
-		if ins != nil {
-			ins.count("engine.opt.rounds")
-		}
+		r.st.Add("engine.opt.rounds", 1)
 		changed := false
 		for _, p := range r.e.cfg.Transforms {
 			// Boundary cancellation check between transform passes; the
@@ -271,20 +248,12 @@ func (r *optimizer) run() (*Optimized, error) {
 			if err := r.prepare(p.Tier); err != nil {
 				return nil, err
 			}
-			var t0 time.Time
-			if ins != nil {
-				t0 = time.Now()
-			}
-			n, err := runTransform(r.st, p)
-			if ins != nil {
-				ins.pass("xform."+p.Name, time.Since(t0))
-			}
+			n, err := r.transform(p)
 			if err != nil {
 				return nil, err
 			}
-			rec.Add("xform."+p.Name+".rewrites", int64(n))
-			if ins != nil {
-				ins.reg.Add("xform."+p.Name+".rewrites", int64(n))
+			if r.st.live() {
+				r.st.Add("xform."+p.Name+".rewrites", int64(n))
 			}
 			if n == 0 {
 				continue
@@ -354,29 +323,8 @@ func (r *optimizer) validateMarks(out *State) ([]string, error) {
 	if r.e.cfg.SkipValidation {
 		return labels, nil
 	}
-	span := r.st.rec.Phase("validate")
-	defer span.End()
-	r.validations++
-	r.st.rec.Count("engine.opt.validations")
-	ins := r.e.ins
-	var t0 time.Time
-	if ins != nil {
-		t0 = time.Now()
-	}
-	err := validate.Parallel(out.SSA, out.File, marks, parValidateWorkers, r.e.cfg.Validate)
-	if ins != nil {
-		ins.pass("validate", time.Since(t0))
-		ins.count("engine.opt.validations")
-		if err != nil {
-			ins.count("xform.parmark.validate.fail")
-		} else {
-			ins.count("xform.parmark.validate.pass")
-		}
-	}
-	if err != nil {
-		return nil, &Error{Phase: "xform.parmark.validate", Err: err}
-	}
-	return labels, nil
+	defer r.e.open(r.st.rec, "validate").End()
+	return labels, r.checked("parmark", validate.Parallel(out.SSA, out.File, marks, parValidateWorkers, r.e.cfg.Validate))
 }
 
 // prepare gives the working state a private copy of the representation
@@ -405,10 +353,7 @@ func (r *optimizer) prepare(t Tier) error {
 			}
 			r.st.CFG = &cfgbuild.Result{Func: r.st.SSA.Func, Loops: loopsInfo}
 			r.irPrivate = true
-			r.st.rec.Count("engine.opt.clones")
-			if r.e.ins != nil {
-				r.e.ins.count("engine.opt.clones")
-			}
+			r.st.Add("engine.opt.clones", 1)
 			return r.reanalyze(TierSSA)
 		}
 	}
@@ -423,12 +368,7 @@ func (r *optimizer) prepare(t Tier) error {
 // both cases, so transforms always compose against fresh
 // classifications — the re-classification between fixed-point rounds.
 func (r *optimizer) reanalyze(t Tier) error {
-	span := r.st.rec.Phase("reanalyze")
-	defer span.End()
-	if ins := r.e.ins; ins != nil {
-		t0 := time.Now()
-		defer func() { ins.pass("reanalyze", time.Since(t0)) }()
-	}
+	defer r.e.open(r.st.rec, "reanalyze").End()
 	skip := map[string]bool{"parse": true}
 	if t == TierSSA {
 		skip["cfgbuild"], skip["ssa"] = true, true
@@ -463,15 +403,7 @@ func (r *optimizer) validate(pass string) error {
 	if r.e.cfg.SkipValidation {
 		return nil
 	}
-	span := r.st.rec.Phase("validate")
-	defer span.End()
-	r.validations++
-	r.st.rec.Count("engine.opt.validations")
-	ins := r.e.ins
-	var t0 time.Time
-	if ins != nil {
-		t0 = time.Now()
-	}
+	defer r.e.open(r.st.rec, "validate").End()
 	order := r.e.cfg.Validate.Order
 	if r.reordered {
 		order = validate.PerCellOrder
@@ -479,15 +411,21 @@ func (r *optimizer) validate(pass string) error {
 	if r.truth == nil {
 		r.truth = validate.NewBaseline(r.orig.SSA, r.e.cfg.Validate)
 	}
-	err := r.truth.Check(r.st.SSA, order)
-	if ins != nil {
-		ins.pass("validate", time.Since(t0))
-		ins.count("engine.opt.validations")
+	return r.checked(pass, r.truth.Check(r.st.SSA, order))
+}
+
+// checked counts one translation validation of pass's rewrite and its
+// outcome, xform.<pass>.validate.pass or .fail, and turns a failure
+// into the run's error.
+func (r *optimizer) checked(pass string, err error) error {
+	r.validations++
+	r.st.Add("engine.opt.validations", 1)
+	if r.st.live() {
+		outcome := ".validate.pass"
 		if err != nil {
-			ins.count("xform." + pass + ".validate.fail")
-		} else {
-			ins.count("xform." + pass + ".validate.pass")
+			outcome = ".validate.fail"
 		}
+		r.st.Add("xform."+pass+outcome, 1)
 	}
 	if err != nil {
 		return &Error{Phase: "xform." + pass + ".validate", Err: err}
@@ -495,15 +433,15 @@ func (r *optimizer) validate(pass string) error {
 	return nil
 }
 
-// runTransform executes one mutating pass with the analysis passes'
+// transform executes one mutating pass with the analysis passes'
 // fault containment, under the phase name "xform.<name>".
-func runTransform(st *State, p TransformPass) (n int, err error) {
+func (r *optimizer) transform(p TransformPass) (n int, err error) {
+	st := r.st
 	phase := "xform." + p.Name
-	span := st.rec.Phase(phase)
-	defer span.End()
+	defer r.e.open(st.rec, phase).End()
 	defer func() {
-		if r := recover(); r != nil {
-			n, err = 0, contained(phase, r)
+		if v := recover(); v != nil {
+			n, err = 0, contained(phase, v)
 		}
 	}()
 	st.lim.Inject.Fire(phase)
@@ -536,17 +474,8 @@ func (e *Engine) OptimizeAll(sources []string) []OptItem {
 // cooperatively, and unscheduled sources carry batch-attributed
 // cancellation errors.
 func (e *Engine) OptimizeAllContext(ctx context.Context, sources []string) []OptItem {
-	rec := e.cfg.Obs
-	span := rec.Phase("optimize-all")
-	defer span.End()
-
-	lim := e.cfg.Limits
-	lim.Pool = guard.NewPool(e.cfg.BatchSteps)
-	lim.Ctx = ctx
-	defer e.poolGauges(lim.Pool)
-
 	items := make([]OptItem, len(sources))
-	e.fanOut(ctx, len(sources), rec, func(i int, wrec *obs.Recorder) {
+	e.fanOut(ctx, "optimize-all", len(sources), func(i int, wrec *obs.Recorder, lim guard.Limits) {
 		res, err := e.optimize(sources[i], wrec, lim)
 		items[i] = OptItem{Index: i, Source: sources[i], Result: res, Err: err}
 	}, func(i int, ce *guard.CancelError) {

@@ -306,6 +306,9 @@ type loopCtx struct {
 	// storedArrays caches which arrays the loop writes (for the §5.1
 	// invariant-load rule); nil until first use.
 	storedArrays map[string]bool
+	// order is the loop's blocks in reverse postorder (markCarried);
+	// nil until first use.
+	order []*ir.Block
 }
 
 // arrayStoredIn reports whether the loop (including nested loops)

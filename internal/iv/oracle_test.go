@@ -217,6 +217,9 @@ func TestOracleOnPaperCorpus(t *testing.T) {
 		// Monotonics.
 		"k = 0\nL15: for i = 1 to n { if a[i] > 0 { k = k + 1\nb[k] = a[i] } }",
 		"k = 0\nL16: loop { if a[k] > 0 { k = k + 1 } else { k = k + 2 }\nif k > n { exit } }",
+		// A later branch restores the head past the increment: k + 1
+		// repeats, so it is not strict by its positive offset.
+		"k = 0\nL0: for q = 1 to n { a[q] = 9 }\nL1: for it = 1 to n { old = k\nif a[it] > 0 { k = k + 1\nb[k] = it }\nif a[it] > 5 { k = old } }",
 		// Figure 7/8 nest.
 		"k = 0\nL17: loop { i = 1\nL18: loop { k = k + 2\nif i > 100 { exit }\ni = i + 1 }\nk = k + 2\nif k > 10000 { exit } }",
 		// Figure 9 triangular, both variants.
@@ -278,6 +281,13 @@ func TestQuickOracleRandomPrograms(t *testing.T) {
 			return false
 		}
 		return !o.failed
+	}
+	// A drawn input that once failed: the program computes i = 181 + n
+	// every iteration of one loop but carries it into n on one branch
+	// only, so i repeats although its offset from n's head is positive
+	// (§4.4 per-member strictness).
+	if !prop(6387921865926800983, -117, 108) {
+		t.Error("seed 6387921865926800983, pn -117, pm 108: an execution contradicted a classification")
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

@@ -57,6 +57,14 @@ type classifyScratch struct {
 	growths  []growth
 	grState  []uint8
 
+	// markCarried's members (cands), the bits of those each loop block
+	// is reached from (block-id-indexed) and each node is computed from
+	// (node-indexed), and its walk stack.
+	cands   []int
+	reached []uint64
+	from    []uint64
+	blocks  []*ir.Block
+
 	// inverses memoizes the solved Vandermonde-style systems of
 	// solveClosedForm, keyed by their full shape. The inverse of a given
 	// system is a pure function of the key, so entries never need

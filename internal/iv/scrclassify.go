@@ -1,6 +1,8 @@
 package iv
 
 import (
+	"slices"
+
 	"beyondiv/internal/ir"
 	"beyondiv/internal/matrix"
 	"beyondiv/internal/rational"
@@ -1006,14 +1008,146 @@ func (ctx *loopCtx) tryMonotonic(comp []int, inSCC func(int) bool, headID int) b
 		(dir < 0 && !step.hi.inf && step.hi.val.Sign() < 0)
 
 	headV := ctx.nodes[headID].v
+	cands := scr.cands[:0]
 	for _, id := range comp {
 		r := scr.ranges[id]
-		strict := stepStrict ||
-			(dir > 0 && !r.lo.inf && r.lo.val.Sign() > 0) ||
-			(dir < 0 && !r.hi.inf && r.hi.val.Sign() < 0)
-		ctx.cls[id] = &Classification{Kind: Monotonic, Loop: ctx.l, Dir: dir, Strict: strict, HeadPhi: headV, Rule: RuleMonotonicRange}
+		if !stepStrict && (dir > 0 && !r.lo.inf && r.lo.val.Sign() > 0 || dir < 0 && !r.hi.inf && r.hi.val.Sign() < 0) {
+			cands = append(cands, id)
+		}
+		ctx.cls[id] = &Classification{Kind: Monotonic, Loop: ctx.l, Dir: dir, Strict: stepStrict, HeadPhi: headV, Rule: RuleMonotonicRange}
+	}
+	scr.cands = cands
+	if len(cands) > 0 {
+		ctx.markCarried(comp, inSCC, cands)
 	}
 	return true
+}
+
+// markCarried marks strict each of cands, the members whose own offset
+// from the head is nonzero in the SCR's direction and whose value
+// reaches the next head whenever it is computed, as Fig. 10's k3 does
+// by being computed inside the branch it feeds. Member x's does not
+// when a path from x's block within the iteration reaches the
+// predecessor edge of an SCR φ operand not computed from x: that path
+// carries the head onward past x, so x can repeat. Members go 64 at a
+// time as bits, through one walk of the SCR and one pass over the
+// blocks the SCR spans, so the work is not the loop's size per SCR.
+func (ctx *loopCtx) markCarried(comp []int, inSCC func(int) bool, cands []int) {
+	s := ctx.scr
+	if n := ctx.a.SSA.Func.NumBlocks(); len(s.reached) < n {
+		s.reached = make([]uint64, n)
+	}
+	if len(s.from) < len(ctx.nodes) {
+		s.from = make([]uint64, len(ctx.nodes))
+	}
+	rpo := ctx.a.SSA.Dom.RPOIndex
+	if ctx.order == nil {
+		ctx.order = append(s.blocks[:0], ctx.l.Blocks...)
+		slices.SortFunc(ctx.order, func(a, b *ir.Block) int { return rpo(a) - rpo(b) })
+		s.blocks = ctx.order
+	}
+	for ; len(cands) > 64; cands = cands[64:] {
+		ctx.markCarried64(comp, inSCC, cands[:64], rpo)
+	}
+	ctx.markCarried64(comp, inSCC, cands, rpo)
+}
+
+// markCarried64 is markCarried over at most 64 members.
+func (ctx *loopCtx) markCarried64(comp []int, inSCC func(int) bool, cands []int, rpo func(*ir.Block) int) {
+	s, l := ctx.scr, ctx.l
+	latch := func(pred *ir.Block) bool { return len(l.Latches) == 1 && pred == l.Latches[0] }
+	phiEdges := func(visit func(pred *ir.Block, arg *ir.Value)) {
+		for _, id := range comp {
+			if p := ctx.nodes[id]; !p.exit && p.v.Op == ir.OpPhi {
+				for i, arg := range p.v.Args {
+					// Only the head φ has an operand from outside the loop.
+					if pred := p.v.Block.Preds[i]; p.v.Block != l.Header || l.Contains(pred) {
+						visit(pred, arg)
+					}
+				}
+			}
+		}
+	}
+	for _, id := range comp {
+		s.from[id], s.rngState[id] = 0, 0
+	}
+	// A member's walk starts at its block or, for an inner loop's exit
+	// value, at that inner loop's header: every block of the inner loop
+	// reaches the same blocks outside it.
+	start := func(x int) *ir.Block {
+		in := ctx.a.Forest.InnermostContaining(ctx.nodes[x].v.Block)
+		if in == l {
+			return ctx.nodes[x].v.Block
+		}
+		for in.Parent != l {
+			in = in.Parent
+		}
+		return in.Header
+	}
+	lo, hi := rpo(start(cands[0])), -1
+	for i, x := range cands {
+		lo = min(lo, rpo(start(x)))
+		s.from[x] |= 1 << i
+	}
+	phiEdges(func(pred *ir.Block, _ *ir.Value) {
+		if !latch(pred) {
+			hi = max(hi, rpo(pred))
+		}
+	})
+	first, _ := slices.BinarySearchFunc(ctx.order, lo, func(b *ir.Block, i int) int { return rpo(b) - i })
+	last, _ := slices.BinarySearchFunc(ctx.order, hi+1, func(b *ir.Block, i int) int { return rpo(b) - i })
+	span := ctx.order[min(first, last):last]
+	for _, b := range span {
+		s.reached[b.ID] = 0
+	}
+	for i, x := range cands {
+		if b := start(x); rpo(b) <= hi {
+			s.reached[b.ID] |= 1 << i
+		}
+	}
+	for _, b := range span {
+		for _, next := range b.Succs {
+			if next != l.Header { // blocks past the span may take bits: none are read
+				s.reached[next.ID] |= s.reached[b.ID]
+			}
+		}
+	}
+	var lost uint64
+	phiEdges(func(pred *ir.Block, arg *ir.Value) {
+		var reach uint64
+		switch {
+		case latch(pred):
+			reach = ^uint64(0) >> (64 - len(cands))
+		case rpo(pred) >= lo:
+			reach = s.reached[pred.ID]
+		}
+		if w, ok := ctx.nodeOf(arg); ok && inSCC(w) {
+			reach &^= ctx.computedFrom(w, inSCC)
+		}
+		lost |= reach
+	})
+	for i, x := range cands {
+		ctx.cls[x].Strict = lost&(1<<i) == 0
+	}
+}
+
+// computedFrom returns, as bits, the members markCarried checks that
+// SCR node w is computed from within an iteration: over w's in-SCR
+// operands, not past the header φ. Memoized in scr.from, with
+// scr.rngState (free once the ranges are computed) marking it done.
+func (ctx *loopCtx) computedFrom(w int, inSCC func(int) bool) uint64 {
+	s := ctx.scr
+	if s.rngState[w] == 0 {
+		s.rngState[w] = 2
+		if !ctx.isHeaderPhi(w) {
+			for _, u := range ctx.nodes[w].succ {
+				if inSCC(u) {
+					s.from[w] |= ctx.computedFrom(u, inSCC)
+				}
+			}
+		}
+	}
+	return s.from[w]
 }
 
 // valueRange computes a node's offset range.

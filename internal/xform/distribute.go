@@ -121,8 +121,8 @@ func runDistribute(st *engine.State) (int, error) {
 		return out
 	}
 	st.File.Stmts = rewrite(st.File.Stmts)
-	st.Metrics().Add("engine.xform.distribute.splits", int64(len(split)))
-	st.Metrics().Add("engine.xform.distribute.loops", int64(newLoops))
+	st.Add("engine.xform.distribute.splits", int64(len(split)))
+	st.Add("engine.xform.distribute.loops", int64(newLoops))
 	chargeBudget(st, "distribute", newLoops)
 	return newLoops, nil
 }

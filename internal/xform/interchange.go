@@ -83,7 +83,7 @@ func runInterchange(st *engine.State) (int, error) {
 	}
 	walk(st.File.Stmts)
 	if n > 0 {
-		st.Metrics().Add("engine.xform.interchange.swaps", int64(n))
+		st.Add("engine.xform.interchange.swaps", int64(n))
 		chargeBudget(st, "interchange", n)
 	}
 	return n, nil

@@ -98,7 +98,7 @@ func runParmark(st *engine.State) (int, error) {
 		return 0, nil
 	}
 	st.Put(engine.ParMarksKey, marks)
-	st.Metrics().Add("engine.xform.parmark.marked", int64(len(marks)))
+	st.Add("engine.xform.parmark.marked", int64(len(marks)))
 	chargeBudget(st, "parmark", n)
 	return n, nil
 }

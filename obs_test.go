@@ -9,8 +9,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"io/fs"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"beyondiv/internal/depend"
@@ -19,6 +23,7 @@ import (
 	"beyondiv/internal/obs/debugserv"
 	"beyondiv/internal/obs/metrics"
 	"beyondiv/internal/paper"
+	"beyondiv/internal/progen"
 )
 
 const quickstartProgram = `
@@ -277,5 +282,92 @@ func TestDebugServEndToEnd(t *testing.T) {
 	}
 	if cached < len(srcs) {
 		t.Errorf("flight shows %d cached runs, want >= %d", cached, len(srcs))
+	}
+}
+
+// TestSinkParity: every engine counter reaches every sink. One
+// analyzer with a recorder and a registry runs cache misses, a hit and
+// evictions; a store write, an alias hit, a structural hit and corrupt
+// blobs; a validated Optimize that interchanges and marks parallel; a
+// dependence sweep that fans out; a batch; and an injected fault.
+// Every counter the registry holds then has the same value in the
+// recorder.
+func TestSinkParity(t *testing.T) {
+	rec, reg, dir := obs.New(), metrics.NewRegistry(), t.TempDir()
+	var armed atomic.Bool
+	lim := guard.Limits{Inject: func(phase string) {
+		if armed.Load() && phase == "sccp" {
+			panic(&guard.Fault{Phase: phase})
+		}
+	}}
+	an := NewAnalyzer(Options{Obs: rec, Metrics: reg, CacheEntries: 1, CacheDir: dir,
+		Parallel: 2, Jobs: 2, Limits: lim})
+	a, b := progen.Large(12), paper.ByID("E6").Source
+	stencil := `
+L1: for i = 0 to 19 {
+    L2: for j = 0 to 19 {
+        a[i * 100 + j + 100] = a[i * 100 + j] + 1
+    }
+}
+`
+	analyze := func(src string) {
+		t.Helper()
+		if _, err := an.Analyze(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	analyze(a)                                         // miss, store write, fan-out
+	analyze(a)                                         // memory hit
+	analyze(b)                                         // miss, write, evicts a
+	analyze(a)                                         // alias hit, evicts b
+	analyze("// reformatted\n" + strings.TrimSpace(b)) // structural hit, evicts a
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		blob, err := os.ReadFile(path)
+		if err == nil {
+			blob[len(blob)/2] ^= 0xff
+			err = os.WriteFile(path, blob, 0o644)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	analyze(a) // corrupt alias and entry, re-analysis
+	res, err := an.Optimize(stencil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Validations == 0 || len(res.ParallelLoops) == 0 {
+		t.Fatalf("optimize: %d validations, parallel loops %v", res.Validations, res.ParallelLoops)
+	}
+	for _, r := range an.AnalyzeAll([]string{b, stencil, paper.ByID("E12").Source}) {
+		if r.Err != nil {
+			t.Fatal(r.Err)
+		}
+	}
+	armed.Store(true)
+	if _, err := an.Analyze(paper.ByID("E13").Source); err == nil {
+		t.Fatal("the injected fault did not fail the run")
+	}
+
+	counters := reg.Snapshot().Counters
+	for _, name := range []string{
+		"engine.cache.hit", "engine.cache.miss", "engine.cache.evict",
+		"engine.store.write", "engine.store.hit.alias", "engine.store.hit.struct", "engine.store.corrupt",
+		"engine.par.depend.runs", "engine.xform.interchange.swaps", "engine.xform.parmark.marked",
+		"xform.interchange.validate.pass", "xform.parmark.validate.pass",
+		"engine.batch", "engine.err", "engine.fault.sccp",
+	} {
+		if counters[name] == 0 {
+			t.Errorf("the sequence never counted %s", name)
+		}
+	}
+	for name, want := range counters {
+		if got := rec.Counter(name); got != want {
+			t.Errorf("%s: recorder %d, registry %d", name, got, want)
+		}
 	}
 }
