@@ -6,10 +6,13 @@ package beyondiv
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"beyondiv/internal/depend"
 	"beyondiv/internal/guard"
+	"beyondiv/internal/iv"
 	"beyondiv/internal/obs"
 	"beyondiv/internal/paper"
 	"beyondiv/internal/progen"
@@ -72,6 +75,56 @@ func TestBatchTelemetryAggregates(t *testing.T) {
 	if workers != 4 {
 		t.Errorf("analyze-all has %d worker spans, want 4", workers)
 	}
+}
+
+// TestStageOptionsAllFingerprinted: every field of iv.Options and of
+// depend.Options, set alone to a non-zero value, changes that struct's
+// Fingerprint, which the disk keys carry. A field the fingerprint left
+// out — a recorder, limits, an arena, a width — would be run state a
+// caller could set to no effect; the engine hands the run to the
+// passes instead.
+func TestStageOptionsAllFingerprinted(t *testing.T) {
+	type fingerprinter interface{ Fingerprint() string }
+	for _, opts := range []fingerprinter{iv.Options{}, depend.Options{}} {
+		typ := reflect.TypeOf(opts)
+		for i := range typ.NumField() {
+			v := reflect.New(typ).Elem()
+			if !setNonZero(v.Field(i)) {
+				t.Errorf("%s.%s: no non-zero %s value to try", typ, typ.Field(i).Name, v.Field(i).Kind())
+				continue
+			}
+			if fp := v.Interface().(fingerprinter).Fingerprint(); fp == opts.Fingerprint() {
+				t.Errorf("%s.%s set alone leaves Fingerprint %q unchanged", typ, typ.Field(i).Name, fp)
+			}
+		}
+	}
+}
+
+// setNonZero sets v to a non-zero value of its type, reporting false
+// when it has none to offer for v's kind.
+func setNonZero(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(1)
+	case reflect.String:
+		v.SetString("x")
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if v.Field(i).CanSet() && setNonZero(v.Field(i)) {
+				return true
+			}
+		}
+		return false
+	default:
+		return false
+	}
+	return true
 }
 
 // TestCacheFingerprintMiss: analyzers sharing one CacheDir keep their

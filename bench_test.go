@@ -171,7 +171,9 @@ func classifyBench(b *testing.B, id string) {
 	}
 	b.StopTimer()
 	rec := obs.New()
-	iv.AnalyzeWithOptions(st.info, st.forest, st.consts, iv.Options{Obs: rec})
+	if _, err := AnalyzeWith(p.Source, Options{SkipDependences: true, Obs: rec}); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportMetric(float64(rec.CounterTotal("iv.scr.")), "scrs/op")
 }
 
@@ -218,7 +220,9 @@ func dependenceBench(b *testing.B, src string) {
 	}
 	b.StopTimer()
 	rec := obs.New()
-	depend.Analyze(a, depend.Options{Obs: rec})
+	if _, err := AnalyzeWith(src, Options{Parallel: 1, Obs: rec}); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportMetric(float64(rec.Counter("depend.pairs.tested")), "dep-tests/op")
 }
 

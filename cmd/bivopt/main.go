@@ -66,7 +66,7 @@ func main() {
 	tel.RegisterObsFlags()
 	cache.Register()
 	par.Register()
-	flag.Parse()
+	cliutil.ParseFlags("bivopt")
 	srcs, err := cliutil.ReadPrograms(flag.Args())
 	if err != nil {
 		fatal(err)

@@ -57,7 +57,7 @@ func main() {
 	cache.Register()
 	watch.Register()
 	par.Register()
-	flag.Parse()
+	cliutil.ParseFlags("depclass")
 	if err := tel.Start(); err != nil {
 		fatal(err)
 	}

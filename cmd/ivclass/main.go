@@ -51,7 +51,7 @@ func main() {
 	tel.RegisterObsFlags()
 	cache.Register()
 	watch.Register()
-	flag.Parse()
+	cliutil.ParseFlags("ivclass")
 	if err := tel.Start(); err != nil {
 		fatal(err)
 	}

@@ -41,7 +41,7 @@ var (
 
 func main() {
 	tel.RegisterObsFlags()
-	flag.Parse()
+	cliutil.ParseFlags("paperrepro")
 	if err := tel.Start(); err != nil {
 		cliutil.Fatal("paperrepro", err)
 	}

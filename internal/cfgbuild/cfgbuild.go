@@ -70,20 +70,15 @@ func (b *builder) checkSize() {
 	guard.Check("cfgbuild", "IR values", int64(b.f.NumValues()), int64(b.maxValues))
 }
 
-// Build lowers a parsed file.
-func Build(file *ast.File) *Result { return BuildWithObs(file, nil) }
+// Build lowers a parsed file: no telemetry, no limits.
+func Build(file *ast.File) *Result { return BuildGuarded(file, nil, guard.Limits{}) }
 
-// BuildWithObs is Build with telemetry: a "cfgbuild" phase span plus
-// block and value counters. rec may be nil.
-func BuildWithObs(file *ast.File, rec *obs.Recorder) *Result {
-	return BuildGuarded(file, rec, guard.Limits{})
-}
-
-// BuildGuarded is BuildWithObs under resource limits: lowering stops
-// (by panicking with a *guard.LimitError, contained at the facade)
-// once the function holds more than lim.MaxSSAValues IR values.
-// Recursion depth needs no separate ceiling here — the parser already
-// bounds AST depth.
+// BuildGuarded is Build under a run, the entry the engine's cfgbuild
+// pass calls. rec (nil: off) receives a "cfgbuild" phase span plus
+// block and value counters. Lowering stops (by panicking with a
+// *guard.LimitError, contained by the engine) once the function holds
+// more than lim.MaxSSAValues IR values. Recursion depth needs no
+// separate ceiling here — the parser already bounds AST depth.
 func BuildGuarded(file *ast.File, rec *obs.Recorder, lim guard.Limits) *Result {
 	span := rec.Phase("cfgbuild")
 	defer span.End()

@@ -217,38 +217,18 @@ type Result struct {
 	fanout struct{ pairs, workers int }
 }
 
-// Options configure the analysis.
+// Options configure the analysis. Both fields change results, so
+// Fingerprint encodes every one of them; the run's recorder, limits,
+// scratch arena and fan-out width are not options but come from the
+// engine (see Pass).
 type Options struct {
 	// IncludeInput reports read-read dependences too.
 	IncludeInput bool
 	// MaxExact bounds the iteration-space size enumerated exactly.
 	MaxExact int
-	// Obs, when non-nil, records the "depend" phase span, per-test
-	// counters (depend.test.<name>.<outcome>) and per-edge provenance
-	// events. Nil disables telemetry at no cost.
-	Obs *obs.Recorder
-	// Limits bounds the tester's work: a step budget charged per pair
-	// and per direction-vector test. Ceiling hits panic with a
-	// *guard.LimitError, contained at the facade. The zero value is
-	// unchecked.
-	Limits guard.Limits
-	// Scratch, when non-nil, lends the tester reusable working tables
-	// for the duration of one Analyze call. Excluded from Fingerprint —
-	// table reuse never changes results — and never retained by the
-	// returned Result, so a cached Result cannot pin or share an arena.
-	Scratch *scratch.Arena
-	// Workers is the intra-run fan-out width for pair testing: when
-	// above 1 and the pair count clears the work-size threshold, pairs
-	// are tested concurrently and merged back in (a.Order, b.Order)
-	// order, bit-identical to the sequential sweep. Excluded from
-	// Fingerprint.
-	Workers int
 }
 
-// Fingerprint identifies the option fields that change analysis
-// results, for content-addressed caching. Obs and Limits are excluded
-// — telemetry never changes results, and limits are fingerprinted by
-// the engine itself.
+// Fingerprint identifies the options for content-addressed caching.
 func (o Options) Fingerprint() string {
 	return fmt.Sprintf("input:%t,maxexact:%d", o.IncludeInput, o.maxExact())
 }
@@ -260,15 +240,24 @@ func (o Options) maxExact() int {
 	return 1 << 16
 }
 
-// Analyze runs dependence testing over every array-reference pair.
+// Analyze runs dependence testing over every array-reference pair: no
+// telemetry, no limits, fresh working tables, one goroutine.
 func Analyze(a *iv.Analysis, opts Options) *Result {
-	return analyzeAfter(a, opts, nil)
+	return analyzeRun(a, opts, nil, nil, guard.Limits{}, nil, 1)
 }
 
-// analyzeAfter is Analyze reusing the affine verdicts of prev, the result
-// this one replaces (nil: none).
-func analyzeAfter(a *iv.Analysis, opts Options, prev *Result) *Result {
-	rec := opts.Obs
+// analyzeRun is Analyze under a run, reusing the affine verdicts of
+// prev, the result this one replaces (nil: none). rec (nil: off)
+// receives the "depend" phase span, per-test counters
+// (depend.test.<name>.<outcome>) and per-edge provenance events; lim
+// charges a step budget per pair and per direction-vector test (a
+// ceiling hit panics with a *guard.LimitError, contained by the
+// engine); ar (nil: fresh tables) lends the working tables; above 1,
+// workers fans the pair sweep out once the pair count clears the
+// work-size threshold, merging back in (a.Order, b.Order) order,
+// bit-identical to the sequential sweep. None of them changes a
+// result, and the Result keeps none of them.
+func analyzeRun(a *iv.Analysis, opts Options, prev *Result, rec *obs.Recorder, lim guard.Limits, ar *scratch.Arena, workers int) *Result {
 	span := rec.Phase("depend")
 	defer span.End()
 
@@ -288,17 +277,16 @@ func analyzeAfter(a *iv.Analysis, opts Options, prev *Result) *Result {
 	}
 	sort.Strings(arrays)
 
-	tester := &tester{a: a, opts: opts, budget: opts.Limits.Budget("depend")}
+	tester := &tester{a: a, opts: opts, rec: rec, budget: lim.Budget("depend")}
 	if prev != nil {
 		tester.prev = prev.verdicts
 	}
-	if opts.Scratch != nil {
-		tester.scr = scratch.Get[dependScratch](&opts.Scratch.Depend)
-		tester.opts.Scratch = nil // the Result must never retain the arena
+	if ar != nil {
+		tester.scr = scratch.Get[dependScratch](&ar.Depend)
 	} else {
 		tester.scr = &dependScratch{}
 	}
-	if !testParallel(r, tester, byArray, arrays) {
+	if !testParallel(r, tester, byArray, arrays, lim, workers) {
 		testSequential(r, tester, byArray, arrays)
 	}
 	r.verdicts = tester.verdicts

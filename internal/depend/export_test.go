@@ -3,6 +3,7 @@ package depend
 import (
 	"testing"
 
+	"beyondiv/internal/guard"
 	"beyondiv/internal/iv"
 )
 
@@ -11,9 +12,10 @@ import (
 // HarvestSources is every program the differential tests run.
 func HarvestSources(t *testing.T) []string { return harvestSources(t) }
 
-// AnalyzeAfter is Analyze reusing prev's verdicts.
-func AnalyzeAfter(a *iv.Analysis, opts Options, prev *Result) *Result {
-	return analyzeAfter(a, opts, prev)
+// AnalyzeAfter is Analyze under lim at fan-out width workers, reusing
+// prev's verdicts.
+func AnalyzeAfter(a *iv.Analysis, opts Options, prev *Result, lim guard.Limits, workers int) *Result {
+	return analyzeRun(a, opts, prev, nil, lim, nil, workers)
 }
 
 // SolvedAfresh counts the verdicts in r's table that r's run solved

@@ -3,9 +3,9 @@ package depend
 import (
 	"maps"
 
+	"beyondiv/internal/guard"
 	"beyondiv/internal/obs"
 	"beyondiv/internal/par"
-	"beyondiv/internal/scratch"
 )
 
 // parMinPairs is the work-size threshold of the parallel pair sweep:
@@ -30,14 +30,13 @@ const parChunkPairs = 16
 // budget steps, no counters, no provenance events, in both paths.
 // After the prewarm, workers only read shared state, the previous
 // result's verdict table included; each worker owns its own
-// gen-stamped equation scratch (from a pooled arena), its own budget
-// drawing the shared phase sub-pool, a recorder fork and a verdict
-// table, merged into the run's after the join. Per-pair results land
-// in a slot indexed by the canonical pair enumeration — array name,
-// then (a.Order, b.Order) — and merge back in that order, so Deps and
-// Independent come out byte-identical to the sequential sweep.
-func testParallel(r *Result, t *tester, byArray map[string][]*Access, arrays []string) bool {
-	workers := t.opts.Workers
+// gen-stamped equation scratch, its own budget drawing the shared
+// phase sub-pool, a recorder fork and a verdict table, merged into the
+// run's after the join. Per-pair results land in a slot indexed by the
+// canonical pair enumeration — array name, then (a.Order, b.Order) —
+// and merge back in that order, so Deps and Independent come out
+// byte-identical to the sequential sweep.
+func testParallel(r *Result, t *tester, byArray map[string][]*Access, arrays []string, lim guard.Limits, workers int) bool {
 	if workers <= 1 {
 		return false
 	}
@@ -87,30 +86,16 @@ func testParallel(r *Result, t *tester, byArray map[string][]*Access, arrays []s
 	// Per-worker testers: shared analysis, postdominators, options and
 	// previous verdicts; private budget, equation scratch, recorder and
 	// verdict table. Worker 0 reuses the run's own scratch (idle during
-	// the fan-out); the rest draw arenas from the engine pool and return
-	// them when the sweep joins.
-	lim := t.opts.Limits.ShareSteps()
-	pool := t.opts.Scratch.Owner()
+	// the fan-out); the rest take fresh tables. Drawing those from the
+	// engine's arena pool instead would hand a later run a worker's
+	// arena, whose front-end tables then regrow: +480 allocations per
+	// run on progen.Large(36) at Parallel=4.
+	lim = lim.ShareSteps()
 	wts := make([]*tester, workers)
-	extra := make([]*scratch.Arena, workers)
-	defer func() {
-		for _, ar := range extra {
-			pool.Put(ar)
-		}
-	}()
 	for w := range wts {
-		wopts := t.opts
-		wopts.Limits = lim
-		wopts.Scratch = nil
-		wt := &tester{a: t.a, opts: wopts, budget: lim.Budget("depend"), pdom: t.pdom, prev: t.prev}
-		if w == 0 {
-			wt.scr = t.scr
-		} else {
-			ar := pool.Get() // nil pool yields a free-standing arena
-			if pool != nil {
-				extra[w] = ar
-			}
-			wt.scr = scratch.Get[dependScratch](&ar.Depend)
+		wt := &tester{a: t.a, opts: t.opts, budget: lim.Budget("depend"), pdom: t.pdom, prev: t.prev, scr: t.scr}
+		if w > 0 {
+			wt.scr = &dependScratch{}
 		}
 		wts[w] = wt
 	}
@@ -119,9 +104,9 @@ func testParallel(r *Result, t *tester, byArray map[string][]*Access, arrays []s
 
 	deps := make([][]*Dependence, n)
 	indep := make([]bool, n)
-	par.Run("depend", workers, chunks, t.opts.Obs, func(w int, wrec *obs.Recorder, c int) {
+	par.Run("depend", workers, chunks, t.rec, func(w int, wrec *obs.Recorder, c int) {
 		wt := wts[w]
-		wt.opts.Obs = wrec
+		wt.rec = wrec
 		if ce := lim.Cancelled("depend"); ce != nil {
 			panic(ce)
 		}

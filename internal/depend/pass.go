@@ -18,12 +18,7 @@ const ArtifactKey = "depend"
 // published: engine.par.depend.{runs,pairs}, gauge engine.par.workers.
 func Pass(opts Options) engine.Pass {
 	return engine.Pass{Name: "depend", Run: func(st *engine.State) error {
-		o := opts
-		o.Obs = st.Obs()
-		o.Limits = st.Lim()
-		o.Scratch = st.Scratch()
-		o.Workers = st.Par()
-		r := analyzeAfter(iv.AnalysisOf(st), o, ResultOf(st))
+		r := analyzeRun(iv.AnalysisOf(st), opts, ResultOf(st), st.Obs(), st.Lim(), st.Scratch(), st.Par())
 		if f := r.fanout; f.workers > 0 {
 			st.Add("engine.par.depend.runs", 1)
 			st.Add("engine.par.depend.pairs", int64(f.pairs))

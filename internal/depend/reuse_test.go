@@ -69,7 +69,7 @@ func sameResult(got, want *depend.Result) string {
 // (nil: none).
 func stepsOf(st *engine.State, prev *depend.Result, width int) int64 {
 	pool := guard.NewPool(1 << 60)
-	depend.AnalyzeAfter(iv.AnalysisOf(st), depend.Options{Limits: guard.Limits{Pool: pool}, Workers: width}, prev)
+	depend.AnalyzeAfter(iv.AnalysisOf(st), depend.Options{}, prev, guard.Limits{Pool: pool}, width)
 	return pool.Limit() - pool.Remaining()
 }
 

@@ -9,6 +9,7 @@ import (
 	"beyondiv/internal/ir"
 	"beyondiv/internal/iv"
 	"beyondiv/internal/loops"
+	"beyondiv/internal/obs"
 	"beyondiv/internal/rational"
 	"beyondiv/internal/safemath"
 )
@@ -23,8 +24,10 @@ import (
 // the worst failure mode an analysis that licenses loop transformations
 // can have.
 type tester struct {
-	a      *iv.Analysis
-	opts   Options
+	a    *iv.Analysis
+	opts Options
+	// rec and budget are the run's recorder and step budget.
+	rec    *obs.Recorder
 	budget *guard.Budget
 	// pdom is the postdominator tree, built on first use (§5.4).
 	pdom *dom.Tree
@@ -146,7 +149,7 @@ func (t *tester) testPair(A, B *Access) ([]*Dependence, bool) {
 // procedure and outcome, and one provenance event per edge (or per
 // refuted pair) — and passes the result through unchanged.
 func (t *tester) record(A, B *Access, method string, deps []*Dependence, independent bool) ([]*Dependence, bool) {
-	rec := t.opts.Obs
+	rec := t.rec
 	if rec == nil {
 		return deps, independent
 	}
@@ -451,7 +454,7 @@ func (t *tester) testAffine(A, B *Access, fa, fb *iv.IterForm, after int) ([]*De
 		// A reused verdict charges the steps its solve charged, so
 		// limits trip exactly where they would without the table.
 		t.budget.Steps(total)
-		t.opts.Obs.Count("depend.verdict.reused")
+		t.rec.Count("depend.verdict.reused")
 	} else {
 		v = t.solveAffine(eq, same, aFirst, total)
 		v.key = string(t.scr.key)

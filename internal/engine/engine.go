@@ -50,7 +50,6 @@ import (
 	"beyondiv/internal/ssa"
 	"beyondiv/internal/store"
 	"beyondiv/internal/token"
-	"beyondiv/internal/validate"
 )
 
 // State is the artifact store one analysis run threads through its
@@ -120,7 +119,7 @@ type Pass struct {
 	Name string
 	// OwnInject marks a pass that fires guard inject hooks itself at a
 	// finer grain (the parse pass fires "scan" then "parse" inside
-	// parse.FileGuarded); the engine then does not fire Name on entry.
+	// parse.FileScratch); the engine then does not fire Name on entry.
 	OwnInject bool
 	// Run executes the pass.
 	Run func(st *State) error
@@ -248,9 +247,6 @@ type Config struct {
 	// validation (ssa.Verify still runs after every rebuild). Meant for
 	// benchmarks; correctness-sensitive callers should leave it off.
 	SkipValidation bool
-	// Validate tunes the translation-validation grid; the zero value
-	// uses the validate package defaults.
-	Validate validate.Options
 }
 
 // Engine executes one configured pipeline over any number of sources.
@@ -262,11 +258,9 @@ type Engine struct {
 	ins   *instr       // nil unless Metrics or Flight is configured
 	par   int          // resolved Config.Parallel: 0 mapped to GOMAXPROCS
 
-	// arenas recycles scratch arenas across runs and workers: each
-	// analyze call checks one out for the duration of its pass list
-	// (so a batch worker reuses a single arena across its whole source
-	// stream), and parallel passes draw extra worker arenas from the
-	// same pool via the run arena's Owner backpointer.
+	// arenas recycles scratch arenas across runs: each analyze call
+	// checks one out for the duration of its pass list (so a batch
+	// worker reuses a single arena across its whole source stream).
 	arenas *scratch.Pool
 }
 

@@ -324,7 +324,7 @@ func (r *optimizer) validateMarks(out *State) ([]string, error) {
 		return labels, nil
 	}
 	defer r.e.open(r.st.rec, "validate").End()
-	return labels, r.checked("parmark", validate.Parallel(out.SSA, out.File, marks, parValidateWorkers, r.e.cfg.Validate))
+	return labels, r.checked("parmark", validate.Parallel(out.SSA, out.File, marks, parValidateWorkers, validate.Options{}))
 }
 
 // prepare gives the working state a private copy of the representation
@@ -404,12 +404,12 @@ func (r *optimizer) validate(pass string) error {
 		return nil
 	}
 	defer r.e.open(r.st.rec, "validate").End()
-	order := r.e.cfg.Validate.Order
+	order := validate.ExactOrder
 	if r.reordered {
 		order = validate.PerCellOrder
 	}
 	if r.truth == nil {
-		r.truth = validate.NewBaseline(r.orig.SSA, r.e.cfg.Validate)
+		r.truth = validate.NewBaseline(r.orig.SSA, validate.Options{})
 	}
 	return r.checked(pass, r.truth.Check(r.st.SSA, order))
 }

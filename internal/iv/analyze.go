@@ -21,9 +21,15 @@ type Analysis struct {
 	Forest *loops.Forest
 	Consts *sccp.Result
 
-	opts   Options
+	opts Options
+	// The run: its recorder, step budget and scratch tables, live only
+	// while the classifier runs. analyzeRun drops them before returning,
+	// so a cached Analysis holds no recorder, context, inject hook,
+	// step pool or arena.
+	rec    *obs.Recorder
 	budget *guard.Budget
-	scr    *classifyScratch // live only while AnalyzeWithOptions runs
+	scr    *classifyScratch
+
 	byLoop map[*loops.Loop]map[*ir.Value]*Classification
 	trips  map[*loops.Loop]*TripCount
 	exits  map[*ir.Value]exitInfo // exit-value cache (empty entries cached too)
@@ -35,7 +41,10 @@ type Analysis struct {
 }
 
 // Options toggle parts of the analysis off, for the ablation studies in
-// EXPERIMENTS.md. The zero value enables everything.
+// EXPERIMENTS.md. The zero value enables everything. Both fields change
+// results, so Fingerprint encodes every one of them; the run's
+// recorder, limits and scratch arena are not options but come from the
+// engine (see ClassifyPass).
 type Options struct {
 	// DisableClosedForms skips the §4.3 simulation + Vandermonde solve:
 	// polynomial/geometric classes keep their kind and order but lose
@@ -45,29 +54,11 @@ type Options struct {
 	// computed by inner loops look unknown to the enclosing loop, so
 	// nested families (Figures 7-9) disappear.
 	DisableExitValues bool
-	// Obs, when non-nil, records phase spans, classification counters
-	// and per-decision provenance events. Nil disables telemetry at no
-	// cost.
-	Obs *obs.Recorder
-	// Limits bounds the classifier's work: loop-nest depth and a step
-	// budget charged per classified node. Ceiling hits panic with a
-	// *guard.LimitError, contained at the facade. The zero value is
-	// unchecked.
-	Limits guard.Limits
-	// Scratch, when non-nil, is the per-run arena the classifier draws
-	// its working tables from; the engine threads one per worker. Nil
-	// allocates fresh tables (one-shot runs). Like Obs and Limits it is
-	// excluded from Fingerprint — scratch reuse cannot change results —
-	// and the analysis drops its reference before returning, so a
-	// cached Analysis never pins (or shares) an arena.
-	Scratch *scratch.Arena
 }
 
-// Fingerprint identifies the option fields that change analysis
-// results, for content-addressed caching: two runs whose fingerprints
-// and sources agree produce identical classifications. Obs and Limits
-// are excluded — telemetry never changes results, and limits are
-// fingerprinted by the engine itself.
+// Fingerprint identifies the options for content-addressed caching:
+// two runs whose fingerprints and sources agree produce identical
+// classifications.
 func (o Options) Fingerprint() string {
 	return fmt.Sprintf("closedforms:%t,exitvalues:%t", !o.DisableClosedForms, !o.DisableExitValues)
 }
@@ -79,13 +70,27 @@ func Analyze(info *ssa.Info, forest *loops.Forest, consts *sccp.Result) *Analysi
 	return AnalyzeWithOptions(info, forest, consts, Options{})
 }
 
-// AnalyzeWithOptions is Analyze with ablation switches.
+// AnalyzeWithOptions is Analyze with ablation switches: no telemetry,
+// no limits, fresh working tables.
 func AnalyzeWithOptions(info *ssa.Info, forest *loops.Forest, consts *sccp.Result, opts Options) *Analysis {
+	return analyzeRun(info, forest, consts, opts, nil, guard.Limits{}, nil)
+}
+
+// analyzeRun is AnalyzeWithOptions under a run: rec (nil: off) receives
+// the "iv" phase span, a "loop L" span per loop, classification
+// counters and per-decision provenance events; lim bounds loop-nest
+// depth and charges a step budget per classified node (a ceiling hit
+// panics with a *guard.LimitError, contained by the engine); ar (nil:
+// fresh tables) lends the working tables. None of the three changes a
+// result, and the Analysis drops them before it is returned.
+func analyzeRun(info *ssa.Info, forest *loops.Forest, consts *sccp.Result, opts Options, rec *obs.Recorder, lim guard.Limits, ar *scratch.Arena) *Analysis {
 	a := &Analysis{
 		SSA:    info,
 		Forest: forest,
 		Consts: consts,
 		opts:   opts,
+		rec:    rec,
+		budget: lim.Budget("iv"),
 		byLoop: map[*loops.Loop]map[*ir.Value]*Classification{},
 		trips:  map[*loops.Loop]*TripCount{},
 		exits:  map[*ir.Value]exitInfo{},
@@ -109,29 +114,27 @@ func AnalyzeWithOptions(info *ssa.Info, forest *loops.Forest, consts *sccp.Resul
 			}
 		}
 	}
-	a.budget = opts.Limits.Budget("iv")
-	if opts.Scratch != nil {
-		a.scr = scratch.Get[classifyScratch](&opts.Scratch.IV)
+	if ar != nil {
+		a.scr = scratch.Get[classifyScratch](&ar.IV)
 	} else {
 		a.scr = &classifyScratch{}
 	}
-	span := opts.Obs.Phase("iv")
+	span := rec.Phase("iv")
 	for _, l := range forest.InnerToOuter() {
+		guard.Check("iv", "loop depth", int64(l.Depth), int64(lim.MaxLoopDepth))
 		a.classifyLoop(l)
 	}
 	span.End()
-	// Detach the arena: the Analysis outlives the run (it is cached and
-	// shared across goroutines), the scratch tables do not.
-	a.scr = nil
-	a.opts.Scratch = nil
+	// Drop the run: the Analysis outlives it (it is cached and shared
+	// across goroutines), the recorder, budget and tables do not.
+	a.rec, a.budget, a.scr = nil, nil, nil
 	return a
 }
 
-// classifyLoop runs the full per-loop step — depth check,
-// classification, trip count — under its own "loop L" span.
+// classifyLoop runs the full per-loop step — classification, trip
+// count — under its own "loop L" span.
 func (a *Analysis) classifyLoop(l *loops.Loop) {
-	guard.Check("iv", "loop depth", int64(l.Depth), int64(a.opts.Limits.MaxLoopDepth))
-	rec := a.opts.Obs
+	rec := a.rec
 	var ls *obs.Span
 	if rec != nil {
 		ls = rec.Phase("loop " + l.Label)
@@ -143,11 +146,6 @@ func (a *Analysis) classifyLoop(l *loops.Loop) {
 	}
 	ls.End()
 }
-
-// Obs returns the recorder the analysis was configured with (nil when
-// telemetry is off); transformations downstream of the analysis use it
-// to keep counting into the same registry.
-func (a *Analysis) Obs() *obs.Recorder { return a.opts.Obs }
 
 // ClassOf returns the classification of v with respect to loop l.
 // Values defined inside nested loops are seen through their exit values;
@@ -589,7 +587,7 @@ func (ctx *loopCtx) classifyTrivialHeaderPhi(v *ir.Value) *Classification {
 
 	wrap := func(order int, inner *Classification) *Classification {
 		c := &Classification{Kind: WrapAround, Loop: l, Order: order, Init: init, Inner: inner, HeadPhi: v, Rule: RuleWrapAround}
-		if rec := ctx.a.opts.Obs; rec != nil {
+		if rec := ctx.a.rec; rec != nil {
 			rec.Count("iv.scr.wrap_around")
 			rec.Decide(v.String(), RuleWrapAround.String(), c.String())
 		}

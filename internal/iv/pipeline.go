@@ -16,22 +16,19 @@ func AnalyzeProgram(src string) (*Analysis, error) {
 	return AnalyzeProgramWith(src, Options{})
 }
 
-// AnalyzeProgramWith is AnalyzeProgram with classifier options; a
-// non-nil opts.Obs records every stage's phase span and counters.
+// AnalyzeProgramWith is AnalyzeProgram with the classifier's ablation
+// switches.
 //
 // The pipeline executes on the analysis engine, so this entry point
 // has the same safety contract as the beyondiv facade: every phase
-// runs under opts.Limits (zero fields take the guard.Default
-// ceilings) with panic containment, and any failure returns as a
-// *engine.Error naming the phase — hostile input cannot hang or crash
-// the caller here any more than it can through the facade.
+// runs under the guard.Default ceilings with panic containment, and
+// any failure returns as a *engine.Error naming the phase — hostile
+// input cannot hang or crash the caller here any more than it can
+// through the facade. Telemetry, other limits, cancellation and fault
+// injection belong to the engine: build one with engine.New over
+// Passes(opts).
 func AnalyzeProgramWith(src string, opts Options) (*Analysis, error) {
-	eng := engine.New(engine.Config{
-		Passes: Passes(opts),
-		Obs:    opts.Obs,
-		Limits: opts.Limits,
-	})
-	st, err := eng.Analyze(src)
+	st, err := engine.New(engine.Config{Passes: Passes(opts)}).Analyze(src)
 	if err != nil {
 		return nil, err
 	}
@@ -46,16 +43,13 @@ func Passes(opts Options) []engine.Pass {
 
 // ClassifyPass contributes the induction-variable classification to an
 // engine pipeline, storing the *Analysis under ArtifactKey. The pass
-// rethreads the run's recorder, limits, and scratch arena, so batch
-// workers and the facade configure telemetry, guards, and table reuse
-// in exactly one place.
+// hands the classifier the run straight from the State — its
+// recorder, limits and scratch arena — so batch workers and the facade
+// configure telemetry, guards and table reuse in exactly one place,
+// and the stored Analysis keeps none of them.
 func ClassifyPass(opts Options) engine.Pass {
 	return engine.Pass{Name: "iv", Run: func(st *engine.State) error {
-		o := opts
-		o.Obs = st.Obs()
-		o.Limits = st.Lim()
-		o.Scratch = st.Scratch()
-		st.Put(ArtifactKey, AnalyzeWithOptions(st.SSA, st.Forest, st.Consts, o))
+		st.Put(ArtifactKey, analyzeRun(st.SSA, st.Forest, st.Consts, opts, st.Obs(), st.Lim(), st.Scratch()))
 		return nil
 	}}
 }

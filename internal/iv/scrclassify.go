@@ -75,14 +75,14 @@ func (ctx *loopCtx) classifySCR(comp []int) {
 	if len(headers) > 0 {
 		ctx.recordSCR(headers[0])
 	} else {
-		ctx.a.opts.Obs.Count("iv.scr.unknown")
+		ctx.a.rec.Count("iv.scr.unknown")
 	}
 }
 
 // recordSCR emits the SCR-kind counter and the provenance decision for
 // a just-classified component, keyed by its (first) header φ.
 func (ctx *loopCtx) recordSCR(headID int) {
-	rec := ctx.a.opts.Obs
+	rec := ctx.a.rec
 	if rec == nil {
 		return
 	}
@@ -733,7 +733,7 @@ func (ctx *loopCtx) solveClosedForm(head *Classification, series []rational.Rat)
 	default:
 		return nil
 	}
-	ctx.a.opts.Obs.Count("iv.matrix.solves")
+	ctx.a.rec.Count("iv.matrix.solves")
 	inv := ctx.scr.inverseOf(invKey{n: n, base: geoBase, geo: geoBase != 0}, build)
 	if inv == nil {
 		return nil

@@ -191,7 +191,7 @@ func (a *Analysis) exitTripCount(l *loops.Loop, exitBlock, target *ir.Block) *Tr
 				n, ok := ceilDivRat(i, div)
 				if !ok {
 					// i/div left exact arithmetic (NaR): no count claim.
-					if rec := a.opts.Obs; rec != nil {
+					if rec := a.rec; rec != nil {
 						rec.Count("iv.tripcount.overflow")
 					}
 					return nil

@@ -53,31 +53,21 @@ type parser struct {
 	stmtBuf []ast.Stmt
 }
 
-// File parses a whole program.
-func File(src string) (*ast.File, error) { return FileWithObs(src, nil) }
+// File parses a whole program: no telemetry, no limits, fresh buffers.
+func File(src string) (*ast.File, error) { return FileScratch(src, nil, guard.Limits{}, nil) }
 
-// FileWithObs is File with telemetry: "scan" and "parse" phase spans
-// plus token and statement counters. rec may be nil.
-func FileWithObs(src string, rec *obs.Recorder) (*ast.File, error) {
-	return FileGuarded(src, rec, guard.Limits{})
-}
-
-// FileGuarded is FileWithObs under resource limits: the source length
-// is capped by lim.MaxSourceBytes and recursive descent by
-// lim.MaxNestDepth, so hostile input produces a diagnostic (wrapping a
-// *guard.LimitError) instead of a stack overflow. Zero limit fields
-// are unchecked. lim.Inject fires on entry to the "scan" and "parse"
-// phases.
-func FileGuarded(src string, rec *obs.Recorder, lim guard.Limits) (*ast.File, error) {
-	return FileScratch(src, rec, lim, nil)
-}
-
-// FileScratch is FileGuarded drawing its reusable buffers — the scan
-// token buffer and the block statement stack — from the run's scratch
-// arena, so a hot caller (the engine) pays for them once instead of
-// per parse. The AST itself is slab-allocated from fresh per-run
-// chunks, never from the arena: it escapes into the cached State. A
-// nil arena allocates locally.
+// FileScratch is File under a run, the entry the engine's parse pass
+// calls. rec (nil: off) receives "scan" and "parse" phase spans plus
+// token and statement counters. lim caps the source length at
+// lim.MaxSourceBytes and recursive descent at lim.MaxNestDepth, so
+// hostile input produces a diagnostic (wrapping a *guard.LimitError)
+// instead of a stack overflow; zero limit fields are unchecked, and
+// lim.Inject fires on entry to the "scan" and "parse" phases. ar lends
+// the reusable buffers — the scan token buffer and the block statement
+// stack — so a hot caller pays for them once instead of per parse. The
+// AST itself is slab-allocated from fresh per-run chunks, never from
+// the arena: it escapes into the cached State. A nil arena allocates
+// locally.
 func FileScratch(src string, rec *obs.Recorder, lim guard.Limits, ar *scratch.Arena) (*ast.File, error) {
 	if lim.MaxSourceBytes > 0 && len(src) > lim.MaxSourceBytes {
 		return nil, &guard.LimitError{Phase: "scan", Resource: "source bytes", Limit: int64(lim.MaxSourceBytes)}

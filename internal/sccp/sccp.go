@@ -74,25 +74,8 @@ func (r *Result) String() string {
 	return out
 }
 
-// Run performs the propagation.
-func Run(info *ssa.Info) *Result { return RunWithObs(info, nil) }
-
-// RunWithObs is Run with telemetry: an "sccp" phase span plus a counter
-// of values proven constant. rec may be nil.
-func RunWithObs(info *ssa.Info, rec *obs.Recorder) *Result {
-	return RunGuarded(info, rec, guard.Limits{})
-}
-
-// RunGuarded is RunWithObs under resource limits: every worklist pop
-// charges the phase's step budget, so a pathological lattice cannot
-// spin the propagation forever (the budget panics with a
-// *guard.LimitError, contained at the facade). Folds that would
-// overflow int64 degrade the cell to bottom — "varying" — which is the
-// conservative direction for every consumer, and are counted under
-// "sccp.fold.overflow".
-func RunGuarded(info *ssa.Info, rec *obs.Recorder, lim guard.Limits) *Result {
-	return RunScratch(info, rec, lim, nil)
-}
+// Run performs the propagation: no telemetry, no limits, fresh tables.
+func Run(info *ssa.Info) *Result { return RunScratch(info, nil, guard.Limits{}, nil) }
 
 // solveScratch holds the propagation's transient dense tables, reusable
 // across runs via the scratch arena. Everything retained in the Result
@@ -107,9 +90,15 @@ type solveScratch struct {
 	inSSAWork []bool        // value ID → already queued
 }
 
-// RunScratch is RunGuarded drawing its transient working tables from
-// ar, the run's scratch arena; nil allocates fresh tables for a
-// one-shot run.
+// RunScratch is Run under a run, the entry the engine's sccp pass
+// calls. rec (nil: off) receives an "sccp" phase span plus a counter of
+// values proven constant. Every worklist pop charges lim's step
+// budget, so a pathological lattice cannot spin the propagation
+// forever (the budget panics with a *guard.LimitError, contained by the
+// engine). Folds that would overflow int64 degrade the cell to bottom —
+// "varying" — which is the conservative direction for every consumer,
+// and are counted under "sccp.fold.overflow". ar lends the transient
+// working tables; nil allocates fresh tables for a one-shot run.
 func RunScratch(info *ssa.Info, rec *obs.Recorder, lim guard.Limits, ar *scratch.Arena) *Result {
 	span := rec.Phase("sccp")
 	defer span.End()

@@ -32,31 +32,11 @@ type Arena struct {
 	Depend any // *depend tester scratch
 	IR     any // *ir.CloneScratch: clone-on-transform remap tables
 	Xform  any // *xform transformation scratch (gen-stamped done tables)
-
-	// owner is the Pool this arena was checked out of, set by Pool.Get
-	// and cleared by Pool.Put. It lets a pass that fans work out across
-	// workers check sibling arenas out of the same pool (see Owner)
-	// without the pool having to be threaded through every option
-	// struct.
-	owner *Pool
 }
 
-// Owner returns the Pool the arena is currently checked out of, nil
-// for a free-standing arena (or a nil receiver). Parallel passes use
-// it to acquire one extra arena per worker and return them when the
-// fan-out joins.
-func (a *Arena) Owner() *Pool {
-	if a == nil {
-		return nil
-	}
-	return a.owner
-}
-
-// Pool recycles arenas across runs and workers. It wraps a sync.Pool
-// and stamps each checked-out arena with an owner backpointer so
-// nested fan-outs can draw worker arenas from the same pool; arenas
-// must be Put back exactly once, after which the previous holder may
-// no longer touch them.
+// Pool recycles arenas across runs. It wraps a sync.Pool; arenas must
+// be Put back exactly once, after which the previous holder may no
+// longer touch them.
 type Pool struct {
 	p sync.Pool
 }
@@ -69,24 +49,10 @@ func NewPool() *Pool {
 }
 
 // Get checks an arena out of the pool, allocating one the first time.
-// Safe on a nil pool (returns a free-standing arena with no owner).
-func (pl *Pool) Get() *Arena {
-	if pl == nil {
-		return &Arena{}
-	}
-	a := pl.p.Get().(*Arena)
-	a.owner = pl
-	return a
-}
+func (pl *Pool) Get() *Arena { return pl.p.Get().(*Arena) }
 
-// Put returns an arena to the pool. Safe on a nil pool or nil arena.
-func (pl *Pool) Put(a *Arena) {
-	if pl == nil || a == nil {
-		return
-	}
-	a.owner = nil
-	pl.p.Put(a)
-}
+// Put returns an arena to the pool.
+func (pl *Pool) Put(a *Arena) { pl.p.Put(a) }
 
 // Get returns the typed scratch struct in *slot, allocating it on first
 // use. A nil receiver is allowed everywhere a *Arena is threaded: the

@@ -61,29 +61,21 @@ func (i *Info) VarOf(v *ir.Value) string {
 	return ""
 }
 
-// Build converts f to SSA form in place and returns the Info.
-func Build(f *ir.Func) *Info { return BuildWithObs(f, nil) }
+// Build converts f to SSA form in place and returns the Info: no
+// telemetry, no limits, fresh tables.
+func Build(f *ir.Func) *Info { return BuildScratch(f, nil, guard.Limits{}, nil) }
 
-// BuildWithObs is Build with telemetry: an "ssa" phase span with child
-// spans for the dominator tree, φ placement, renaming, and cleanup,
-// plus φ and value counters. rec may be nil.
-func BuildWithObs(f *ir.Func, rec *obs.Recorder) *Info {
-	return BuildGuarded(f, rec, guard.Limits{})
-}
-
-// BuildGuarded is BuildWithObs under resource limits: φ insertion — the
-// one step of Cytron construction that can blow the IR up quadratically
-// — stops (panicking with a *guard.LimitError, contained at the facade)
-// once the function exceeds lim.MaxSSAValues values.
-func BuildGuarded(f *ir.Func, rec *obs.Recorder, lim guard.Limits) *Info {
-	return BuildScratch(f, rec, lim, nil)
-}
-
-// BuildScratch is BuildGuarded drawing its transient working tables
-// (definition stacks, φ worklists, use counts, …) from ar, the run's
-// scratch arena; a nil arena allocates fresh tables for a one-shot
-// build. Only working storage is arena-backed — everything retained in
-// the returned Info is freshly allocated.
+// BuildScratch is Build under a run, the entry the engine's ssa pass
+// calls. rec (nil: off) receives an "ssa" phase span with child spans
+// for the dominator tree, φ placement, renaming, and cleanup, plus φ
+// and value counters. φ insertion — the one step of Cytron
+// construction that can blow the IR up quadratically — stops
+// (panicking with a *guard.LimitError, contained by the engine) once
+// the function exceeds lim.MaxSSAValues values. ar lends the transient
+// working tables (definition stacks, φ worklists, use counts, …); a nil
+// arena allocates fresh tables for a one-shot build. Only working
+// storage is arena-backed — everything retained in the returned Info
+// is freshly allocated.
 func BuildScratch(f *ir.Func, rec *obs.Recorder, lim guard.Limits, ar *scratch.Arena) *Info {
 	if ar != nil {
 		return build(f, rec, lim, scratch.Get[buildScratch](&ar.SSA))
@@ -170,7 +162,7 @@ type state struct {
 	scr  *buildScratch
 
 	// maxValues caps the function's value count during φ insertion;
-	// zero is unchecked. See BuildGuarded.
+	// zero is unchecked. See BuildScratch.
 	maxValues int
 }
 

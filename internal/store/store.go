@@ -151,7 +151,11 @@ func (s *Store) Get(key [32]byte) ([]byte, bool) {
 	os.Chtimes(s.path(hk), now, now)
 	s.mu.Lock()
 	if el, ok := s.index[hk]; ok {
-		el.Value.(*entry).size = int64(len(data))
+		// The file may have changed size since it was indexed (a
+		// truncated blob, another process's write): keep total in step.
+		e := el.Value.(*entry)
+		s.total += int64(len(data)) - e.size
+		e.size = int64(len(data))
 		s.lru.MoveToFront(el)
 	} else {
 		el := s.lru.PushFront(&entry{key: hk, size: int64(len(data))})

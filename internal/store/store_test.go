@@ -176,6 +176,32 @@ func TestDeleteAndForeignFiles(t *testing.T) {
 	}
 }
 
+// TestGetResizedBlob: a Get that finds an indexed blob changed in size
+// (truncated on disk here) keeps the byte total in step, so deleting
+// the entry leaves no phantom bytes for the size budget to evict
+// against.
+func TestGetResizedBlob(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := Open(dir, 0)
+	k := keyOf("resized")
+	if _, err := s.Put(k, bytes.Repeat([]byte("x"), 100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(filepath.Join(dir, pathOf(k)), 10); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.Get(k); !ok || len(got) != 10 {
+		t.Fatalf("Get = %d bytes, %v; want 10, true", len(got), ok)
+	}
+	if s.TotalBytes() != 10 {
+		t.Fatalf("TotalBytes after Get = %d, want 10", s.TotalBytes())
+	}
+	s.Delete(k)
+	if s.Len() != 0 || s.TotalBytes() != 0 {
+		t.Fatalf("accounting after delete: len=%d bytes=%d", s.Len(), s.TotalBytes())
+	}
+}
+
 func TestConcurrentAccess(t *testing.T) {
 	s, _ := Open(t.TempDir(), 1<<20)
 	done := make(chan struct{})

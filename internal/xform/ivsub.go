@@ -9,7 +9,7 @@ import (
 	"beyondiv/internal/loops"
 )
 
-// SubstituteIVs performs induction-variable substitution (§5): every
+// SubstituteIVsScratch performs induction-variable substitution (§5): every
 // multiplicative value (Mul, Div, Exp) the classifier proves Linear in
 // a loop is replaced by the equivalent φ-maintained linear recurrence,
 // with both the initial value and the per-iteration step materialized
@@ -27,11 +27,8 @@ import (
 // truncated-division algebra never classifies an IV quotient as Linear,
 // so no truncation case can slip through.
 //
-// Returns the number of values substituted; SSA form stays valid.
-func SubstituteIVs(a *iv.Analysis) int { return SubstituteIVsScratch(a, nil) }
-
-// SubstituteIVsScratch is SubstituteIVs against an explicit scratch
-// table (nil allocates a private one), for callers holding an arena.
+// scr is the run's scratch table; nil allocates a private one. Returns
+// the number of values substituted; SSA form stays valid.
 func SubstituteIVsScratch(a *iv.Analysis, scr *Scratch) int {
 	if scr == nil {
 		scr = &Scratch{}

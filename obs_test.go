@@ -18,7 +18,9 @@ import (
 	"testing"
 
 	"beyondiv/internal/depend"
+	"beyondiv/internal/engine"
 	"beyondiv/internal/guard"
+	"beyondiv/internal/iv"
 	"beyondiv/internal/obs"
 	"beyondiv/internal/obs/debugserv"
 	"beyondiv/internal/obs/metrics"
@@ -172,14 +174,14 @@ func TestDecisionLogCoverage(t *testing.T) {
 	}
 }
 
-// TestDependOptionsObs: the dependence tester alone also records.
+// TestDependOptionsObs: depend.Pass hands the tester the run's
+// recorder, which counts the tested pairs.
 func TestDependOptionsObs(t *testing.T) {
-	prog, err := AnalyzeWith(quickstartProgram, Options{SkipDependences: true})
-	if err != nil {
+	rec := obs.New()
+	eng := engine.New(engine.Config{Passes: append(iv.Passes(iv.Options{}), depend.Pass(depend.Options{})), Obs: rec})
+	if _, err := eng.Analyze(quickstartProgram); err != nil {
 		t.Fatal(err)
 	}
-	rec := obs.New()
-	depend.Analyze(prog.IV, depend.Options{Obs: rec})
 	if rec.Counter("depend.pairs.tested") == 0 {
 		t.Error("dependence run recorded no tested pairs")
 	}

@@ -17,7 +17,7 @@ import (
 // (117 at n=12, 219 at n=36, 267 at n=48; under 0.5% of the run; the
 // same at GOMAXPROCS 1, 2 and 4):
 //   - ~50 fixed: the materialized pair list and result slots, one
-//     tester, budget and arena checkout per worker, the goroutines and
+//     tester, budget and scratch table set per worker, the goroutines and
 //     their span names;
 //   - ~4.3 per loop: the postdominator tree, which the sweep's
 //     sequential prewarm builds eagerly while the sequential sweep
