@@ -52,6 +52,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzRun -fuzztime $(FUZZTIME) -run '^$$' .
 	$(GO) test -fuzz FuzzEquivalence -fuzztime $(FUZZTIME) -run '^$$' .
 	$(GO) test -fuzz FuzzArtifactCodec -fuzztime $(FUZZTIME) -run '^$$' ./internal/codec/
+	$(GO) test -fuzz FuzzAlign -fuzztime $(FUZZTIME) -run '^$$' ./internal/codec/
 	$(GO) test -fuzz FuzzExactSolve -fuzztime $(FUZZTIME) -run '^$$' ./internal/depend/
 	$(GO) test -fuzz FuzzVerdictKey -fuzztime $(FUZZTIME) -run '^$$' ./internal/depend/
 

@@ -136,7 +136,7 @@ func setNonZero(v reflect.Value) bool {
 func TestCacheFingerprintMiss(t *testing.T) {
 	src := paper.ByID("E6").Source
 	dir := t.TempDir()
-	def, err := NewAnalyzer(Options{CacheDir: dir}).Analyze(src)
+	def, err := AnalyzeWith(src, Options{CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestCacheFingerprintMiss(t *testing.T) {
 		rec := obs.New()
 		opts := tc.opts
 		opts.CacheDir, opts.Obs = dir, rec
-		got, err := NewAnalyzer(opts).Analyze(src)
+		got, err := AnalyzeWith(src, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -176,7 +176,7 @@ func TestCacheFingerprintMiss(t *testing.T) {
 	}
 	// The writer's options from a fresh analyzer: a true hit.
 	rec := obs.New()
-	again, err := NewAnalyzer(Options{CacheDir: dir, Obs: rec}).Analyze(src)
+	again, err := AnalyzeWith(src, Options{CacheDir: dir, Obs: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,6 +155,13 @@ type Options struct {
 	// directory is created if needed; an unusable directory surfaces as
 	// an error from every entry point rather than silently analyzing
 	// uncached.
+	//
+	// Writes land in the background: a cold run hands its entry and
+	// alias to the analyzer's writer and returns, and the analyzer's
+	// own reads see them at once. Call Analyzer.Flush before the
+	// process exits and before another analyzer or process reads the
+	// directory (AnalyzeWith, AnalyzeBatch, OptimizeWith and
+	// OptimizeBatch flush before returning; bivd's drain flushes).
 	CacheDir string
 	// CacheMaxBytes bounds the disk store's total size (<= 0 means
 	// store.DefaultMaxBytes, 256 MiB); least-recently-used entries are
@@ -231,6 +238,9 @@ type Analyzer struct {
 	// every entry point — a caller who asked for persistence should not
 	// silently run without it.
 	storeErr error
+	// twin is the bare engine the differential rename check analyzes
+	// α-renamed twins on; nil without a CacheDir.
+	twin *engine.Engine
 }
 
 // NewAnalyzer builds an analyzer from opts.
@@ -254,30 +264,38 @@ func NewAnalyzer(opts Options) *Analyzer {
 		Transforms:     transforms,
 		SkipValidation: opts.SkipValidation,
 	}
-	var storeErr error
+	a := &Analyzer{passErr: passErr}
 	if opts.CacheDir != "" {
 		disk, err := store.Open(opts.CacheDir, opts.CacheMaxBytes)
 		if err != nil {
-			storeErr = fmt.Errorf("beyondiv: cache dir: %w", err)
+			a.storeErr = fmt.Errorf("beyondiv: cache dir: %w", err)
 		} else {
 			// The differential rename check re-analyzes an α-renamed twin
 			// of every program whose artifact is persisted. The twin runs
-			// on a bare engine: same passes and ceilings, but no caches,
-			// no store (no recursion), no telemetry, and no fault
-			// injection — an injected fault belongs to the original run,
-			// not to its shadow.
+			// on a bare engine: same passes, ceilings and fan-out width,
+			// but no caches, no store (no recursion), no telemetry, and
+			// no fault injection — an injected fault belongs to the
+			// original run, not to its shadow.
 			lim := opts.Limits
 			lim.Inject = nil
-			bare := engine.New(engine.Config{Passes: opts.passes(), Limits: lim})
+			a.twin = engine.New(engine.Config{Passes: opts.passes(), Limits: lim, Parallel: opts.Parallel})
 			cfg.Store = disk
 			cfg.StoreWriteOnly = opts.CacheDirWriteOnly
 			cfg.BuildArtifact = func(st *engine.State, sum [32]byte, names []string) ([]byte, error) {
-				return buildArtifact(st, sum, names, bare)
+				return buildArtifact(st, sum, names, a.twin)
 			}
 		}
 	}
-	return &Analyzer{eng: engine.New(cfg), passErr: passErr, storeErr: storeErr}
+	a.eng = engine.New(cfg)
+	return a
 }
+
+// Flush waits until every disk-store write the analyzer has handed off
+// is on disk. With a CacheDir, a cold run's artifact is written in the
+// background; call Flush before the process exits and before another
+// analyzer or process reads the directory. Without a CacheDir it
+// returns at once.
+func (a *Analyzer) Flush() { a.eng.Flush() }
 
 // Analyze parses and analyzes one program.
 func (a *Analyzer) Analyze(source string) (*Program, error) {
@@ -485,16 +503,21 @@ func Analyze(source string) (*Program, error) {
 // On hostile or malformed input it never panics and never hangs: every
 // phase runs under opts.Limits with panic containment, and any failure
 // — syntax error, resource-ceiling hit, or contained internal fault —
-// is returned as a *Error identifying the phase.
+// is returned as a *Error identifying the phase. With opts.CacheDir it
+// returns once its store write is on disk.
 func AnalyzeWith(source string, opts Options) (*Program, error) {
-	return NewAnalyzer(opts).Analyze(source)
+	a := NewAnalyzer(opts)
+	defer a.Flush()
+	return a.Analyze(source)
 }
 
 // AnalyzeBatch analyzes sources concurrently over opts.Jobs workers;
-// it is NewAnalyzer(opts).AnalyzeAll(sources) for callers that do not
-// need to keep the analyzer (and its cache) across batches.
+// it is NewAnalyzer(opts).AnalyzeAll(sources), flushed, for callers
+// that do not need to keep the analyzer (and its cache) across batches.
 func AnalyzeBatch(sources []string, opts Options) []BatchResult {
-	return NewAnalyzer(opts).AnalyzeAll(sources)
+	a := NewAnalyzer(opts)
+	defer a.Flush()
+	return a.AnalyzeAll(sources)
 }
 
 // Optimize analyzes and optimizes a program with the default pipeline
@@ -504,16 +527,21 @@ func Optimize(source string) (*OptimizeResult, error) {
 }
 
 // OptimizeWith analyzes and optimizes a program with options; see
-// (*Analyzer).Optimize for the pipeline and safety contract.
+// (*Analyzer).Optimize for the pipeline and safety contract. With
+// opts.CacheDir it returns once its store write is on disk.
 func OptimizeWith(source string, opts Options) (*OptimizeResult, error) {
-	return NewAnalyzer(opts).Optimize(source)
+	a := NewAnalyzer(opts)
+	defer a.Flush()
+	return a.Optimize(source)
 }
 
 // OptimizeBatch optimizes sources concurrently over opts.Jobs workers;
-// it is NewAnalyzer(opts).OptimizeAll(sources) for callers that do not
-// need to keep the analyzer (and its cache) across batches.
+// it is NewAnalyzer(opts).OptimizeAll(sources), flushed, for callers
+// that do not need to keep the analyzer (and its cache) across batches.
 func OptimizeBatch(sources []string, opts Options) []OptimizeBatchResult {
-	return NewAnalyzer(opts).OptimizeAll(sources)
+	a := NewAnalyzer(opts)
+	defer a.Flush()
+	return a.OptimizeAll(sources)
 }
 
 // ClassificationReport renders every loop's classifications, innermost
@@ -584,14 +612,7 @@ func (p *Program) ExplainAllDeps() string {
 	if p.Deps == nil {
 		return ""
 	}
-	var sb []byte
-	for i, d := range p.Deps.Deps {
-		if i > 0 {
-			sb = append(sb, '\n')
-		}
-		sb = fmt.Append(sb, p.Deps.Explain(d))
-	}
-	return string(sb)
+	return p.Deps.ExplainAll()
 }
 
 // Run executes the analyzed program with the given scalar parameters,

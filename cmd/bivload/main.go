@@ -132,6 +132,7 @@ func main() {
 		}
 		iterations++
 	}
+	an.Flush()
 	elapsed := time.Since(start)
 
 	fmt.Printf("%d iterations over %d programs in %s: %d analyses (%.0f/s), %d errors\n",

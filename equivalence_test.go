@@ -365,10 +365,11 @@ func batchCells(t *testing.T, srcs []string, refs func(i int) reference, widths 
 }
 
 // warm writes src's analysis to the store in dir, as a first process
-// would, and counts the writes.
+// would, and counts the writes. AnalyzeWith returns once they are on
+// disk.
 func warm(dir, src string) (writes int64) {
 	reg := metrics.NewRegistry()
-	beyondiv.NewAnalyzer(beyondiv.Options{CacheDir: dir, Metrics: reg}).Analyze(src)
+	beyondiv.AnalyzeWith(src, beyondiv.Options{CacheDir: dir, Metrics: reg})
 	return reg.Counter("engine.store.write")
 }
 
@@ -382,9 +383,11 @@ func (r *row) stored(t *testing.T) string {
 	return dir
 }
 
+// fromDisk analyzes src over the store in dir, as a restarted process
+// would; any write it makes is on disk when it returns.
 func fromDisk(dir, src string) (*beyondiv.Program, *metrics.Registry, error) {
 	reg := metrics.NewRegistry()
-	p, err := beyondiv.NewAnalyzer(beyondiv.Options{CacheDir: dir, Metrics: reg}).Analyze(src)
+	p, err := beyondiv.AnalyzeWith(src, beyondiv.Options{CacheDir: dir, Metrics: reg})
 	return p, reg, err
 }
 

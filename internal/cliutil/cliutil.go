@@ -260,9 +260,12 @@ func writeFileWith(path string, render func(io.Writer) error) error {
 // single source runs as a plain Analyze (so -stats keeps the familiar
 // one-"analyze" span shape), several run as one concurrent batch over
 // opts.Jobs workers. Results come back in input order; a failing
-// source carries its own error without affecting the rest.
+// source carries its own error without affecting the rest. With a
+// CacheDir it returns once every store write is on disk, so -stats
+// reports them and the process may exit.
 func AnalyzeSources(srcs []Source, opts beyondiv.Options) []beyondiv.BatchResult {
 	an := beyondiv.NewAnalyzer(opts)
+	defer an.Flush()
 	if len(srcs) == 1 {
 		prog, err := an.Analyze(srcs[0].Text)
 		return []beyondiv.BatchResult{{Source: srcs[0].Text, Program: prog, Err: err}}
@@ -278,8 +281,10 @@ func AnalyzeSources(srcs []Source, opts beyondiv.Options) []beyondiv.BatchResult
 // over command-line sources, mirroring AnalyzeSources' shape: one
 // source runs inline, several run as a concurrent batch over opts.Jobs
 // workers, and results come back in input order with per-source errors.
+// Like AnalyzeSources it returns once every store write is on disk.
 func OptimizeSources(srcs []Source, opts beyondiv.Options) []beyondiv.OptimizeBatchResult {
 	an := beyondiv.NewAnalyzer(opts)
+	defer an.Flush()
 	if len(srcs) == 1 {
 		res, err := an.Optimize(srcs[0].Text)
 		return []beyondiv.OptimizeBatchResult{{Source: srcs[0].Text, Result: res, Err: err}}

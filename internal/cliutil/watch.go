@@ -116,6 +116,7 @@ func Watch(args []string, opts beyondiv.Options, cfg WatchConfig,
 			prog, aerr := an.Analyze(text)
 			render(Source{Path: path, Text: text}, prog, aerr)
 		}
+		an.Flush() // a round ends with its store writes on disk
 		alive := make(map[string]bool, len(paths))
 		for _, p := range paths {
 			alive[p] = true

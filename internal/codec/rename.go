@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
@@ -102,21 +103,26 @@ func isIdentChar(c byte) bool {
 // forEachChunk splits s into maximal identifier tokens
 // ([A-Za-z_][A-Za-z0-9_]*) and the non-identifier runs between them.
 func forEachChunk(s string, fn func(tok string, isIdent bool)) {
-	i := 0
-	for i < len(s) {
-		start := i
-		if isIdentStart(s[i]) {
-			for i < len(s) && isIdentChar(s[i]) {
-				i++
-			}
-			fn(s[start:i], true)
-		} else {
-			for i < len(s) && !isIdentStart(s[i]) {
-				i++
-			}
-			fn(s[start:i], false)
-		}
+	for i := 0; i < len(s); {
+		end, ident := chunkEnd(s, i)
+		fn(s[i:end], ident)
+		i = end
 	}
+}
+
+// chunkEnd returns the end of the chunk of s that starts at i, and
+// whether that chunk is an identifier token.
+func chunkEnd(s string, i int) (int, bool) {
+	if isIdentStart(s[i]) {
+		for i < len(s) && isIdentChar(s[i]) {
+			i++
+		}
+		return i, true
+	}
+	for i < len(s) && !isIdentStart(s[i]) {
+		i++
+	}
+	return i, false
 }
 
 // aligner matches an original text against its twin's rendering.
@@ -125,6 +131,7 @@ type aligner struct {
 	nameIdx map[string]int // original name -> table slot
 	twinIdx map[string]int // twin name -> table slot
 	width   int            // uniform twin-name byte length, 0 if unusable
+	segs    []segment      // align's working buffer, reused across calls
 }
 
 func newAligner(names, twin []string) *aligner {
@@ -147,19 +154,6 @@ func newAligner(names, twin []string) *aligner {
 	return a
 }
 
-type chunk struct {
-	s     string
-	ident bool
-}
-
-func chunks(s string) []chunk {
-	var cs []chunk
-	forEachChunk(s, func(tok string, isIdent bool) {
-		cs = append(cs, chunk{tok, isIdent})
-	})
-	return cs
-}
-
 func allDigits(s string) bool {
 	for i := 0; i < len(s); i++ {
 		if s[i] < '0' || s[i] > '9' {
@@ -172,68 +166,75 @@ func allDigits(s string) bool {
 // align segments a into literals and name references by comparing it
 // chunkwise against the twin rendering b. Returns ok=false on any
 // divergence the segment model cannot express.
+//
+// Two cursors walk a and b chunk by chunk; every literal segment is a
+// slice of a spanning the chunks since the last name reference, so the
+// only allocation is the returned segment slice.
 func (al *aligner) align(a, b string) ([]segment, bool) {
 	if a == b && !al.mentionsName(a) {
 		// Identical and name-free: pure prose.
 		return []segment{{ref: -1, lit: a}}, true
 	}
-	ca, cb := chunks(a), chunks(b)
-	if len(ca) != len(cb) {
-		return nil, false
-	}
-	var segs []segment
-	var lit strings.Builder
-	flush := func() {
-		if lit.Len() > 0 {
-			segs = append(segs, segment{ref: -1, lit: lit.String()})
-			lit.Reset()
-		}
-	}
-	for i := range ca {
-		x, y := ca[i], cb[i]
-		if x.ident != y.ident {
+	segs := al.segs[:0]
+	lit := 0 // start in a of the literal run not yet emitted
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		ie, xIdent := chunkEnd(a, i)
+		je, yIdent := chunkEnd(b, j)
+		x, y := a[i:ie], b[j:je]
+		start := i
+		i, j = ie, je
+		if xIdent != yIdent {
 			return nil, false
 		}
-		if !x.ident {
-			if x.s != y.s {
+		if !xIdent {
+			if x != y {
 				return nil, false
 			}
-			lit.WriteString(x.s)
 			continue
 		}
-		if x.s == y.s {
+		if x == y {
 			// Same identifier token on both sides. If it is (or starts
 			// with) a table name the renderer failed to rename it — the
 			// twin should differ here — so substitution would corrupt
 			// it. Treat as prose only if it is name-free.
-			if al.tokenUsesName(x.s) {
+			if al.tokenUsesName(x) {
 				return nil, false
 			}
-			lit.WriteString(x.s)
 			continue
 		}
 		// Diverging identifiers: the twin side must parse uniquely as
 		// twinName + digits, and the original side must be exactly the
 		// corresponding name + the same digits.
-		if al.width == 0 || len(y.s) < al.width {
+		if al.width == 0 || len(y) < al.width {
 			return nil, false
 		}
-		k, ok := al.twinIdx[y.s[:al.width]]
-		suffix := y.s[al.width:]
+		k, ok := al.twinIdx[y[:al.width]]
+		suffix := y[al.width:]
 		if !ok || !allDigits(suffix) {
 			return nil, false
 		}
-		if x.s != al.names[k]+suffix {
+		if rest, found := strings.CutPrefix(x, al.names[k]); !found || rest != suffix {
 			return nil, false
 		}
-		flush()
+		if start > lit {
+			segs = append(segs, segment{ref: -1, lit: a[lit:start]})
+		}
 		segs = append(segs, segment{ref: k, lit: suffix})
+		lit = i
 	}
-	flush()
-	if segs == nil {
-		segs = []segment{{ref: -1, lit: ""}}
+	if i < len(a) || j < len(b) {
+		// One side has chunks left over: the texts do not pair up.
+		return nil, false
 	}
-	return segs, true
+	if len(a) > lit {
+		segs = append(segs, segment{ref: -1, lit: a[lit:]})
+	}
+	al.segs = segs
+	if len(segs) == 0 {
+		return []segment{{ref: -1, lit: ""}}, true
+	}
+	return slices.Clone(segs), true
 }
 
 // tokenUsesName reports whether an identifier token is a table name or
@@ -254,11 +255,12 @@ func (al *aligner) tokenUsesName(tok string) bool {
 // mentionsName reports whether any identifier token in s would need
 // remapping — the fast path for texts with no name content at all.
 func (al *aligner) mentionsName(s string) bool {
-	found := false
-	forEachChunk(s, func(tok string, isIdent bool) {
-		if isIdent && al.tokenUsesName(tok) {
-			found = true
+	for i := 0; i < len(s); {
+		end, ident := chunkEnd(s, i)
+		if ident && al.tokenUsesName(s[i:end]) {
+			return true
 		}
-	})
-	return found
+		i = end
+	}
+	return false
 }

@@ -83,10 +83,13 @@ type State struct {
 func (s *State) Decoded() *codec.Artifact { return s.art }
 
 // Obs returns the recorder of the run this state belongs to; passes
-// thread it into the stages they call. Nil when telemetry is off.
+// thread it into the stages they call. Nil when telemetry is off, and
+// on a state Analyze returned: the engine detaches the run (recorder,
+// limits, arena) before a state is cached or returned.
 func (s *State) Obs() *obs.Recorder { return s.rec }
 
-// Lim returns the run's normalized guard limits.
+// Lim returns the run's normalized guard limits while passes execute;
+// the zero Limits on a state Analyze returned.
 func (s *State) Lim() guard.Limits { return s.lim }
 
 // Scratch returns the run's scratch arena, valid only while passes are
@@ -221,7 +224,9 @@ type Config struct {
 	// structural entry keyed by the canonical AST hash, so whitespace
 	// and comment edits and α-renamed duplicates still hit. Every entry
 	// is decoded through the codec's checksum and version gate; a bad
-	// blob is deleted and the source re-analyzed.
+	// blob is deleted and the source re-analyzed. Writes land in the
+	// background, in order; the engine reads its own pending writes,
+	// and Flush waits for them to reach the disk.
 	Store *store.Store
 	// BuildArtifact serializes a fresh successful state into a codec
 	// blob for the disk store. The engine cannot build it itself — the
@@ -262,6 +267,8 @@ type Engine struct {
 	// checks one out for the duration of its pass list (so a batch
 	// worker reuses a single arena across its whole source stream).
 	arenas *scratch.Pool
+	// w writes the disk store in the background; nil without a Store.
+	w *writer
 }
 
 // New builds an engine. The configured limits are normalized here —
@@ -275,6 +282,9 @@ func New(cfg Config) *Engine {
 	}
 	if cfg.CacheEntries > 0 {
 		e.cache = newResultCache(cfg.CacheEntries)
+	}
+	if cfg.Store != nil {
+		e.w = newWriter(cfg.Store, sink{rec: cfg.Obs, reg: cfg.Metrics})
 	}
 	l := cfg.Limits
 	// Every variable-length component is length-prefixed so no crafted
@@ -338,7 +348,7 @@ func (e *Engine) analyze(source string, rec *obs.Recorder, lim guard.Limits, par
 	diskRead := e.cfg.Store != nil && !e.cfg.StoreWriteOnly && !needLive
 	if diskRead {
 		if art := e.aliasGet(source, r.sink); art != nil {
-			st := &State{Source: source, sink: r.sink, lim: lim, extra: map[string]any{}, art: art}
+			st := &State{Source: source, extra: map[string]any{}, art: art}
 			e.remember(r.sink, key, st)
 			r.cached = true
 			return st, nil
@@ -388,9 +398,8 @@ func (e *Engine) analyze(source string, rec *obs.Recorder, lim guard.Limits, par
 				if art := e.entryGet(structSum, structNames, r.sink, "engine.store.hit.struct"); art != nil {
 					// Leave an alias so this exact source skips even the
 					// parse from now on.
-					e.cfg.Store.Put(e.aliasKey(source), codec.EncodeAlias(structSum, structNames))
+					e.w.handOff(&write{aliasKey: e.aliasKey(source), alias: codec.EncodeAlias(structSum, structNames)})
 					st.art = art
-					st.scratch = nil
 					e.arenas.Put(ar)
 					e.remember(r.sink, key, st)
 					r.cached = true
@@ -400,8 +409,8 @@ func (e *Engine) analyze(source string, rec *obs.Recorder, lim guard.Limits, par
 			}
 		}
 	}
-	// Detach before the state escapes: cached states are shared across
-	// goroutines and must not alias a recycled arena.
+	// The arena goes back before the state escapes: cached states are
+	// shared across goroutines and must not alias a recycled arena.
 	st.scratch = nil
 	e.arenas.Put(ar)
 	if haveStruct && e.cfg.BuildArtifact != nil {
@@ -411,9 +420,13 @@ func (e *Engine) analyze(source string, rec *obs.Recorder, lim guard.Limits, par
 	return st, nil
 }
 
-// remember puts a successful run's state in the memory cache, when
-// there is one, and counts the entries that makes it evict.
+// remember detaches a successful run's state from the run — its
+// recorder, its limits (request context, inject hook, batch step pool)
+// and its arena — and puts it in the memory cache, when there is one,
+// counting the entries that makes it evict. A later hit shares the
+// state with requests that are not this run.
 func (e *Engine) remember(s sink, key cacheKey, st *State) {
+	st.sink, st.lim, st.scratch = sink{}, guard.Limits{}, nil
 	if e.cache == nil {
 		return
 	}

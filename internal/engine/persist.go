@@ -3,8 +3,10 @@ package engine
 import (
 	"crypto/sha256"
 	"errors"
+	"sync"
 
 	"beyondiv/internal/codec"
+	"beyondiv/internal/store"
 )
 
 // Disk-tier key derivation. Two key families share the store, separated
@@ -46,7 +48,7 @@ func (e *Engine) entryKey(structSum [32]byte) [32]byte {
 // corrupt blob on the way is counted, deleted and treated as a miss.
 func (e *Engine) aliasGet(source string, s sink) *codec.Artifact {
 	ak := e.aliasKey(source)
-	data, ok := e.cfg.Store.Get(ak)
+	data, ok := e.get(ak)
 	if !ok {
 		return nil
 	}
@@ -65,7 +67,7 @@ func (e *Engine) aliasGet(source string, s sink) *codec.Artifact {
 // violation) is kept for its own sources and reported as a miss.
 func (e *Engine) entryGet(structSum [32]byte, names []string, s sink, kind string) *codec.Artifact {
 	ek := e.entryKey(structSum)
-	data, ok := e.cfg.Store.Get(ek)
+	data, ok := e.get(ek)
 	if !ok {
 		return nil
 	}
@@ -81,6 +83,15 @@ func (e *Engine) entryGet(structSum [32]byte, names []string, s sink, kind strin
 	return art
 }
 
+// get reads one blob: a record handed to the writer and not yet on
+// disk answers first, so an engine always reads its own writes.
+func (e *Engine) get(key [32]byte) ([]byte, bool) {
+	if data, ok := e.w.get(key); ok {
+		return data, true
+	}
+	return e.cfg.Store.Get(key)
+}
+
 // discard deletes a blob that failed to decode and counts it.
 func (e *Engine) discard(s sink, key [32]byte) {
 	e.cfg.Store.Delete(key)
@@ -89,20 +100,155 @@ func (e *Engine) discard(s sink, key [32]byte) {
 
 // diskWrite persists a fresh successful run: the encoded artifact under
 // the structural key, plus an alias for the exact source that produced
-// it. Serialization or I/O failures only cost persistence — the live
-// result has already been computed and is returned regardless.
+// it. The blob is built here, from the live state, and the two files
+// are handed to the writer; engine.store.write counts the hand-off on
+// the run's sink. Serialization or I/O failures only cost persistence —
+// the live result has already been computed and is returned regardless.
 func (e *Engine) diskWrite(st *State, structSum [32]byte, structNames []string) {
 	data, err := e.cfg.BuildArtifact(st, structSum, structNames)
 	if err != nil || data == nil {
 		return
 	}
-	evicted, err := e.cfg.Store.Put(e.entryKey(structSum), data)
-	if err != nil {
+	e.w.handOff(&write{
+		entryKey: e.entryKey(structSum), entry: data,
+		aliasKey: e.aliasKey(st.Source), alias: codec.EncodeAlias(structSum, structNames),
+	})
+	st.Add("engine.store.write", 1)
+}
+
+// Flush waits until every store write handed off before the call is on
+// disk, or has failed. Writes land in the background (DESIGN §13): call
+// Flush before the process exits, before reporting store counters, and
+// before another engine or process reads the store. Without a store it
+// returns at once.
+func (e *Engine) Flush() { e.w.flush() }
+
+// maxPendingBytes bounds the blob bytes handed to a writer and not yet
+// on disk. A hand-off past it blocks until the writer catches up, so a
+// burst of cold runs holds at most this much (plus one blob) in memory
+// and no write is ever dropped.
+const maxPendingBytes = 8 << 20
+
+// writer takes an engine's store writes off the request path: one
+// goroutine at a time writes the handed-off records in hand-off order,
+// each entry before its alias, so a reader in another process that
+// finds an alias finds its entry. It runs only while records are
+// pending. A nil writer (no store) holds nothing and flushes at once.
+type writer struct {
+	// put is the store's Put. s is the engine's recorder and registry:
+	// the writer counts the store evictions it makes there.
+	put func(key [32]byte, data []byte) (evicted int, err error)
+	s   sink
+
+	mu      sync.Mutex
+	cond    sync.Cond // broadcast when a write finishes or the writer stops
+	queue   []*write
+	pending map[[32]byte]*write // key -> the latest queued write of it
+	bytes   int                 // blob bytes queued and not yet written
+	sent    uint64              // writes handed off
+	done    uint64              // writes finished, on disk or failed
+	running bool
+}
+
+// write is one hand-off: an entry and the alias that points at it, or
+// an alias alone (nil entry) for a structural hit.
+type write struct {
+	entryKey, aliasKey [32]byte
+	entry, alias       []byte
+}
+
+func (w *write) size() int { return len(w.entry) + len(w.alias) }
+
+func newWriter(st *store.Store, s sink) *writer {
+	w := &writer{put: st.Put, s: s, pending: map[[32]byte]*write{}}
+	w.cond.L = &w.mu
+	return w
+}
+
+// handOff queues wr, blocking while the pending bytes are at or past
+// maxPendingBytes.
+func (w *writer) handOff(wr *write) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for w.bytes >= maxPendingBytes {
+		w.cond.Wait()
+	}
+	w.queue = append(w.queue, wr)
+	if wr.entry != nil {
+		w.pending[wr.entryKey] = wr
+	}
+	w.pending[wr.aliasKey] = wr
+	w.bytes += wr.size()
+	w.sent++
+	if !w.running {
+		w.running = true
+		go w.run()
+	}
+}
+
+// get returns the blob a pending write holds under key.
+func (w *writer) get(key [32]byte) ([]byte, bool) {
+	if w == nil {
+		return nil, false
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	wr := w.pending[key]
+	switch {
+	case wr == nil:
+		return nil, false
+	case key == wr.aliasKey:
+		return wr.alias, true
+	default:
+		return wr.entry, true
+	}
+}
+
+// run writes the queue in order until it is empty. An entry that fails
+// to write takes its alias with it: an alias must not point at nothing.
+func (w *writer) run() {
+	w.mu.Lock()
+	for len(w.queue) > 0 {
+		wr := w.queue[0]
+		w.queue[0] = nil
+		w.queue = w.queue[1:]
+		w.mu.Unlock()
+
+		evicted, err := 0, error(nil)
+		if wr.entry != nil {
+			evicted, err = w.put(wr.entryKey, wr.entry)
+		}
+		if err == nil {
+			n, _ := w.put(wr.aliasKey, wr.alias)
+			evicted += n
+		}
+		if evicted > 0 {
+			w.s.Add("engine.store.evict", int64(evicted))
+		}
+
+		w.mu.Lock()
+		for _, k := range [2][32]byte{wr.entryKey, wr.aliasKey} {
+			if w.pending[k] == wr {
+				delete(w.pending, k)
+			}
+		}
+		w.bytes -= wr.size()
+		w.done++
+		w.cond.Broadcast()
+	}
+	w.queue = nil
+	w.running = false
+	w.mu.Unlock()
+}
+
+// flush waits until every write handed off before the call finished.
+func (w *writer) flush() {
+	if w == nil {
 		return
 	}
-	e.cfg.Store.Put(e.aliasKey(st.Source), codec.EncodeAlias(structSum, structNames))
-	st.Add("engine.store.write", 1)
-	if evicted > 0 {
-		st.Add("engine.store.evict", int64(evicted))
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for target := w.sent; w.done < target; {
+		w.cond.Wait()
 	}
 }

@@ -78,6 +78,7 @@ func TestDiskStoreTwoTier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	e1.Flush()
 	if st.Decoded() != nil {
 		t.Fatal("cold run returned a decoded state")
 	}
@@ -130,6 +131,7 @@ func TestDiskStoreTwoTier(t *testing.T) {
 	if got := reg2.Counter("engine.store.hit.struct"); got != 1 {
 		t.Fatalf("store.hit.struct = %d, want 1", got)
 	}
+	e2.Flush()
 	// The struct hit left an alias: the variant now costs zero passes
 	// even in a new process.
 	disk3, _ := store.Open(dir, 0)
@@ -151,6 +153,7 @@ func TestDiskStoreCorruptionRecovers(t *testing.T) {
 	if _, err := e.Analyze(persistSrc); err != nil {
 		t.Fatal(err)
 	}
+	e.Flush()
 
 	// Truncate every blob in place: both the alias and the entry are now
 	// damaged.
@@ -174,6 +177,7 @@ func TestDiskStoreCorruptionRecovers(t *testing.T) {
 	if got := reg2.Counter("engine.store.corrupt"); got == 0 {
 		t.Fatal("corruption not counted")
 	}
+	e2.Flush()
 	// The re-analysis rewrote clean blobs: a third engine warm-starts.
 	disk3, _ := store.Open(dir, 0)
 	reg3 := metrics.NewRegistry()
@@ -199,6 +203,7 @@ func TestCacheEvictionsCounted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	warm.Flush()
 	for _, tc := range []struct {
 		name string
 		disk *store.Store
@@ -217,6 +222,7 @@ func TestCacheEvictionsCounted(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		e.Flush()
 		if tc.disk != nil && rec.Counter("engine.store.hit") != 3 {
 			t.Errorf("%s: %d store hits, want 3", tc.name, rec.Counter("engine.store.hit"))
 		}
@@ -235,6 +241,7 @@ func TestStoreWriteOnly(t *testing.T) {
 	if _, err := e.Analyze(persistSrc); err != nil {
 		t.Fatal(err)
 	}
+	e.Flush()
 	if disk.Len() == 0 {
 		t.Fatal("write-only engine did not warm the store")
 	}
@@ -243,10 +250,12 @@ func TestStoreWriteOnly(t *testing.T) {
 	disk2, _ := store.Open(dir, 0)
 	cfg2 := persistConfig(disk2, nil, nil)
 	cfg2.StoreWriteOnly = true
-	st, err := New(cfg2).Analyze(persistSrc)
+	e2 := New(cfg2)
+	st, err := e2.Analyze(persistSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	e2.Flush()
 	if st.Decoded() != nil {
 		t.Fatal("write-only engine read from the store")
 	}
@@ -273,9 +282,11 @@ func TestDecodedMemEntryUpgraded(t *testing.T) {
 	dir := t.TempDir()
 	disk, _ := store.Open(dir, 0)
 	// Warm the disk store.
-	if _, err := New(persistConfig(disk, nil, nil)).Analyze(persistSrc); err != nil {
+	warm := New(persistConfig(disk, nil, nil))
+	if _, err := warm.Analyze(persistSrc); err != nil {
 		t.Fatal(err)
 	}
+	warm.Flush()
 	disk2, _ := store.Open(dir, 0)
 	cfg := persistConfig(disk2, nil, nil)
 	cfg.CacheEntries = 8
@@ -305,6 +316,7 @@ func TestDecodedMemEntryUpgraded(t *testing.T) {
 	if live2 != live {
 		t.Fatal("live state did not take over the cache slot")
 	}
+	e.Flush()
 }
 
 func TestAliasSharesStructuralEntryAcrossRenames(t *testing.T) {
@@ -318,13 +330,16 @@ func TestAliasSharesStructuralEntryAcrossRenames(t *testing.T) {
 	if _, err := e.Analyze(persistSrc); err != nil {
 		t.Fatal(err)
 	}
+	e.Flush()
 	renamed := strings.NewReplacer("s", "t", "i", "j", "n", "m").Replace(persistSrc)
 	disk2, _ := store.Open(dir, 0)
 	reg := metrics.NewRegistry()
-	st, err := New(persistConfig(disk2, reg, nil)).Analyze(renamed)
+	e2 := New(persistConfig(disk2, reg, nil))
+	st, err := e2.Analyze(renamed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	e2.Flush()
 	if st.Decoded() != nil {
 		t.Fatal("literal-only entry served an α-renamed source")
 	}

@@ -1,0 +1,237 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"beyondiv/internal/codec"
+	"beyondiv/internal/obs"
+	"beyondiv/internal/obs/metrics"
+	"beyondiv/internal/store"
+)
+
+// pause stops e's writer from starting: hand-offs queue and nothing
+// reaches the disk until resume.
+func pause(e *Engine) {
+	e.w.mu.Lock()
+	e.w.running = true
+	e.w.mu.Unlock()
+}
+
+// resume starts the paused writer on whatever has queued.
+func resume(e *Engine) { go e.w.run() }
+
+func openStore(t *testing.T, dir string) *store.Store {
+	t.Helper()
+	disk, err := store.Open(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return disk
+}
+
+// TestWriteBehindReadsOwnWrites: records handed to the writer and not
+// yet on disk answer the engine's own reads — the exact source from
+// its alias, a formatting variant from the structural entry — and
+// land on disk once the writer runs.
+func TestWriteBehindReadsOwnWrites(t *testing.T) {
+	disk := openStore(t, t.TempDir())
+	reg := metrics.NewRegistry()
+	e := New(persistConfig(disk, reg, nil))
+	pause(e)
+	if _, err := e.Analyze(persistSrc); err != nil {
+		t.Fatal(err)
+	}
+	if disk.Len() != 0 {
+		t.Fatalf("a paused writer put %d blobs on disk", disk.Len())
+	}
+	if st, err := e.Analyze(persistSrc); err != nil || st.Decoded() == nil {
+		t.Fatalf("the pending alias did not answer the same source (%v)", err)
+	}
+	variant := "s=0 // comment\nfor i = 1 to n { s = s + i }\n"
+	if st, err := e.Analyze(variant); err != nil || st.Decoded() == nil {
+		t.Fatalf("the pending entry did not answer a formatting variant (%v)", err)
+	}
+	if a, s := reg.Counter("engine.store.hit.alias"), reg.Counter("engine.store.hit.struct"); a != 1 || s != 1 {
+		t.Fatalf("hit.alias %d, hit.struct %d, want 1 and 1", a, s)
+	}
+	resume(e)
+	e.Flush()
+	if disk.Len() != 3 {
+		t.Fatalf("store holds %d blobs after Flush, want entry and two aliases", disk.Len())
+	}
+}
+
+// TestWriteBehindFlushThenRestart: after Flush, an engine over a fresh
+// handle on the directory — a restarted process — answers every source
+// from its alias.
+func TestWriteBehindFlushThenRestart(t *testing.T) {
+	dir := t.TempDir()
+	var srcs []string
+	for k := 0; k < 16; k++ {
+		srcs = append(srcs, fmt.Sprintf("s = %d\nfor i = 1 to n {\n    s = s + i\n}\n", k))
+	}
+	e := New(persistConfig(openStore(t, dir), nil, nil))
+	for _, src := range srcs {
+		if _, err := e.Analyze(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Flush()
+	reg := metrics.NewRegistry()
+	e2 := New(persistConfig(openStore(t, dir), reg, nil))
+	for _, src := range srcs {
+		if st, err := e2.Analyze(src); err != nil || st.Decoded() == nil {
+			t.Fatalf("restart missed %q (%v)", src, err)
+		}
+	}
+	if got, miss := reg.Counter("engine.store.hit.alias"), reg.Counter("engine.store.miss"); got != int64(len(srcs)) || miss != 0 {
+		t.Fatalf("restart: %d alias hits and %d misses, want %d and 0", got, miss, len(srcs))
+	}
+}
+
+// TestWriteBehindOrder: the writer puts each entry before its alias, in
+// hand-off order, and an entry that fails to write takes its alias
+// with it.
+func TestWriteBehindOrder(t *testing.T) {
+	disk := openStore(t, t.TempDir())
+	e := New(persistConfig(disk, nil, nil))
+	a, b, c := persistSrc, "x = 1\n", "y = 2\n"
+	pause(e)
+	for _, src := range []string{a, b, c} {
+		if _, err := e.Analyze(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	key := func(src string) (entry, alias [32]byte) {
+		st, err := New(Config{Passes: Frontend()}).Analyze(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum, _ := codec.StructuralHash(st.File)
+		return e.entryKey(sum), e.aliasKey(src)
+	}
+	var order [][32]byte
+	failB, _ := key(b)
+	e.w.put = func(k [32]byte, data []byte) (int, error) {
+		order = append(order, k)
+		if k == failB {
+			return 0, fmt.Errorf("disk full")
+		}
+		return disk.Put(k, data)
+	}
+	resume(e)
+	e.Flush()
+	ea, aa := key(a)
+	ec, ac := key(c)
+	want := [][32]byte{ea, aa, failB, ec, ac}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("write order %x, want entry a, alias a, entry b (fails, no alias), entry c, alias c", order)
+	}
+	if disk.Len() != 4 {
+		t.Fatalf("store holds %d blobs, want 4", disk.Len())
+	}
+}
+
+// TestWriteBehindBound: once the pending bytes reach maxPendingBytes a
+// hand-off blocks until the writer catches up, and nothing handed off
+// is dropped.
+func TestWriteBehindBound(t *testing.T) {
+	disk := openStore(t, t.TempDir())
+	e := New(persistConfig(disk, nil, nil))
+	pause(e)
+	blob := make([]byte, maxPendingBytes/4)
+	for k := byte(0); k < 4; k++ {
+		e.w.handOff(&write{entryKey: [32]byte{1, k}, entry: blob, aliasKey: [32]byte{2, k}, alias: []byte{k}})
+	}
+	handed := make(chan struct{})
+	go func() {
+		e.w.handOff(&write{entryKey: [32]byte{1, 4}, entry: blob, aliasKey: [32]byte{2, 4}, alias: []byte{4}})
+		close(handed)
+	}()
+	select {
+	case <-handed:
+		t.Fatal("a hand-off past the byte bound did not block")
+	case <-time.After(20 * time.Millisecond):
+	}
+	resume(e)
+	<-handed
+	e.Flush()
+	if disk.Len() != 10 {
+		t.Fatalf("store holds %d blobs, want all 10 handed off", disk.Len())
+	}
+}
+
+// TestWriteBehindConcurrentFlush: Analyze and Flush from many
+// goroutines at once (run under -race) lose no write.
+func TestWriteBehindConcurrentFlush(t *testing.T) {
+	disk := openStore(t, t.TempDir())
+	reg := metrics.NewRegistry()
+	e := New(persistConfig(disk, reg, nil))
+	var wg sync.WaitGroup
+	const workers, each = 4, 8
+	for w := 0; w < workers; w++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < each; k++ {
+				if _, err := e.Analyze(fmt.Sprintf("s = %d\nt = %d\n", w, k)); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for k := 0; k < each; k++ {
+				e.Flush()
+			}
+		}()
+	}
+	wg.Wait()
+	e.Flush()
+	if n := reg.Counter("engine.store.write"); n != workers*each {
+		t.Fatalf("engine.store.write = %d, want %d", n, workers*each)
+	}
+	if disk.Len() != 2*workers*each {
+		t.Fatalf("store holds %d blobs, want %d", disk.Len(), 2*workers*each)
+	}
+}
+
+// TestCachedStateDropsRun: a state the memory cache hands out carries
+// no run — not the recorder, limits or arena of the run that built it —
+// so a hit after a cancelled AnalyzeContext is not tied to that
+// context. Each of the three ways a state enters the cache is checked:
+// a fresh run, an alias hit and a structural hit.
+func TestCachedStateDropsRun(t *testing.T) {
+	disk := openStore(t, t.TempDir())
+	warm := New(persistConfig(disk, nil, nil))
+	if _, err := warm.Analyze(persistSrc); err != nil {
+		t.Fatal(err)
+	}
+	warm.Flush()
+	cfg := persistConfig(disk, nil, obs.New())
+	cfg.CacheEntries = 4
+	e := New(cfg)
+	for _, tc := range []struct{ name, src string }{
+		{"fresh", "x = 1\n"},
+		{"alias hit", persistSrc},
+		{"structural hit", "// edited\n" + persistSrc},
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		if _, err := e.AnalyzeContext(ctx, tc.src); err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+		st, err := e.Analyze(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Lim().Ctx != nil || st.Obs() != nil || st.Scratch() != nil {
+			t.Errorf("%s: a cache hit carries its first run: ctx %v, recorder %v", tc.name, st.Lim().Ctx, st.Obs())
+		}
+	}
+	e.Flush()
+}

@@ -172,14 +172,17 @@ func (s *Server) Health() debugserv.Health {
 
 // Drain flips the server into draining mode — /healthz answers 503,
 // new requests and queued waiters are rejected with kind "draining" —
-// and waits up to timeout for in-flight requests to finish. It returns
-// true when the drain was clean (nothing in flight at return), false
-// when the deadline expired with requests still running. Idempotent;
+// waits up to timeout for in-flight requests to finish, then for the
+// analyzer's store writes (Analyzer.Flush), so a restart on the same
+// CacheDir finds every program this process wrote. It returns true
+// when the drain was clean (nothing in flight at return), false when
+// the deadline expired with requests still running. Idempotent;
 // concurrent calls all wait.
 func (s *Server) Drain(timeout time.Duration) bool {
 	if s.draining.CompareAndSwap(false, true) {
 		close(s.drainCh)
 	}
+	defer s.an.Flush()
 	deadline := time.Now().Add(timeout)
 	for time.Now().Before(deadline) {
 		if s.adm.idle() {

@@ -323,6 +323,7 @@ L1: for i = 0 to 19 {
 	analyze(b)                                         // miss, write, evicts a
 	analyze(a)                                         // alias hit, evicts b
 	analyze("// reformatted\n" + strings.TrimSpace(b)) // structural hit, evicts a
+	an.Flush()
 	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() {
 			return err
@@ -354,6 +355,7 @@ L1: for i = 0 to 19 {
 	if _, err := an.Analyze(paper.ByID("E13").Source); err == nil {
 		t.Fatal("the injected fault did not fail the run")
 	}
+	an.Flush()
 
 	counters := reg.Snapshot().Counters
 	for _, name := range []string{

@@ -6,6 +6,7 @@ package beyondiv
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -32,7 +33,7 @@ L1: for i = 1 to n {
 // both witness.
 func TestPersistWarmStartZeroPasses(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := NewAnalyzer(Options{CacheDir: dir}).Analyze(persistFacadeSrc); err != nil {
+	if _, err := AnalyzeWith(persistFacadeSrc, Options{CacheDir: dir}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -86,6 +87,7 @@ func TestPersistIncrementalCounters(t *testing.T) {
 				t.Fatalf("%s: %v", scenario, err)
 			}
 		}
+		an.Flush()
 		for name, w := range want {
 			if got := reg.Counter(name); got != w {
 				t.Errorf("%s: %s = %d, want %d", scenario, name, got, w)
@@ -107,7 +109,7 @@ func TestPersistIncrementalCounters(t *testing.T) {
 // treated exactly like corruption.
 func TestPersistTruncatedStoreRecovers(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := NewAnalyzer(Options{CacheDir: dir}).Analyze(persistFacadeSrc); err != nil {
+	if _, err := AnalyzeWith(persistFacadeSrc, Options{CacheDir: dir}); err != nil {
 		t.Fatal(err)
 	}
 	err := filepath.Walk(dir, func(path string, fi os.FileInfo, err error) error {
@@ -119,7 +121,7 @@ func TestPersistTruncatedStoreRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, aerr := NewAnalyzer(Options{CacheDir: dir}).Analyze(persistFacadeSrc)
+	prog, aerr := AnalyzeWith(persistFacadeSrc, Options{CacheDir: dir})
 	if aerr != nil {
 		t.Fatalf("truncated store must degrade to re-analysis, got %v", aerr)
 	}
@@ -153,9 +155,10 @@ func TestPersistWriteOnly(t *testing.T) {
 	if got := reg.Counter("engine.store.hit"); got != 0 {
 		t.Fatalf("write-only analyzer read the store %d times", got)
 	}
+	wo.Flush()
 
 	reg2 := metrics.NewRegistry()
-	prog, err := NewAnalyzer(Options{CacheDir: dir, Metrics: reg2}).Analyze(persistFacadeSrc)
+	prog, err := AnalyzeWith(persistFacadeSrc, Options{CacheDir: dir, Metrics: reg2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,16 +194,61 @@ func TestPersistBadCacheDir(t *testing.T) {
 // artifact can never satisfy it.
 func TestPersistOptimizeStaysLive(t *testing.T) {
 	dir := t.TempDir()
-	an := NewAnalyzer(Options{CacheDir: dir})
-	if _, err := an.Analyze(persistFacadeSrc); err != nil {
+	if _, err := AnalyzeWith(persistFacadeSrc, Options{CacheDir: dir}); err != nil {
 		t.Fatal(err)
 	}
-	an2 := NewAnalyzer(Options{CacheDir: dir})
-	res, err := an2.Optimize(persistFacadeSrc)
+	res, err := OptimizeWith(persistFacadeSrc, Options{CacheDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Program == nil || res.Program.SSA == nil {
 		t.Fatal("Optimize through a warm store lost the live program")
 	}
+}
+
+// TestTwinRunsAtAnalyzerWidth: the α-twin the store's rename check
+// analyzes runs at the analyzer's Parallel width, as "-parallel"
+// promises for every request, not at one worker per CPU.
+func TestTwinRunsAtAnalyzerWidth(t *testing.T) {
+	for _, width := range []int{1, 3} {
+		an := NewAnalyzer(Options{CacheDir: t.TempDir(), Parallel: width})
+		st, err := an.twin.Analyze("x = 1\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Par() != width {
+			t.Errorf("Parallel %d: the twin runs at width %d", width, st.Par())
+		}
+	}
+}
+
+// TestColdStoreWriteBudget pins what persisting a cold analysis costs
+// in allocated bytes, writer included: over the serve benchmark's cold
+// programs (DepWorkload(10^9 + k)), an analyzer with a CacheDir
+// allocates at most 500 KB per cold Analyze. Rendering the artifact
+// twice (program and α-twin) and encoding it used to take 1,150 KB.
+func TestColdStoreWriteBudget(t *testing.T) {
+	n := int64(300)
+	if raceEnabled {
+		n = 60
+	}
+	an := NewAnalyzer(Options{CacheDir: t.TempDir()})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := int64(0); k < n; k++ {
+		if _, err := an.Analyze(progen.DepWorkload(1e9 + k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	an.Flush()
+	runtime.ReadMemStats(&after)
+	perCall := float64(after.TotalAlloc-before.TotalAlloc) / float64(n) / 1024
+	bound := 500.0
+	if raceEnabled {
+		bound *= 1.5
+	}
+	if perCall > bound {
+		t.Errorf("cold Analyze with a store: %.0f KB allocated per call, want ≤ %.0f", perCall, bound)
+	}
+	t.Logf("%.0f KB per cold Analyze with a store (bound %.0f)", perCall, bound)
 }
