@@ -2,6 +2,9 @@ package beyondiv
 
 import "beyondiv/internal/ast"
 
+// RaceEnabled is raceEnabled for the external test package.
+const RaceEnabled = raceEnabled
+
 // OptimizeAST is Optimize that also returns the transformed AST, which
 // the facade keeps to itself: the equivalence matrix runs it chunked
 // under the result's ParallelLoops.
