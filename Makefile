@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check build fmt vet test test-race bench-module bench bench-smoke repro fuzz-smoke clean
+.PHONY: check build fmt vet test test-race examples bench-module bench bench-smoke repro fuzz-smoke clean
 
 # The full gate: what CI (and every PR) must pass.
-check: build fmt vet test-race bench-module
+check: build fmt vet test-race examples bench-module
 
 # gofmt as a check: fails listing any file that is not gofmt-clean.
 fmt:
@@ -21,6 +21,19 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# Run every example twice: each must exit 0 and print the same bytes
+# both times, and examples/strength must print the figure README quotes.
+examples:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for d in examples/*/; do \
+		ex=$$(basename $$d); \
+		$(GO) build -o $$tmp/$$ex ./$$d; \
+		$$tmp/$$ex > $$tmp/$$ex.1; \
+		$$tmp/$$ex > $$tmp/$$ex.2; \
+		cmp -s $$tmp/$$ex.1 $$tmp/$$ex.2 || { echo "examples/$$ex: stdout differs between runs"; exit 1; }; \
+	done; \
+	grep -q '2048 before, 0 after' $$tmp/strength.1 || { echo "examples/strength: no '2048 before, 0 after'"; exit 1; }
 
 # The benchmark is a separate module (bench/go.mod, replacing beyondiv
 # with this checkout) that calls engine, iv, serve and facade APIs

@@ -96,8 +96,10 @@ type Options struct {
 	IV iv.Options
 	// Obs, when non-nil, records phase spans, counters and provenance
 	// events across every pipeline stage (see internal/obs). Nil keeps
-	// telemetry off at no cost. Batch workers record into forks of
-	// this recorder, merged back when the batch completes.
+	// telemetry off at no cost. Concurrent runs sharing one recorder
+	// interleave their spans in its tree; batch workers record into
+	// forks of this recorder instead, merged back when the batch
+	// completes.
 	Obs *obs.Recorder
 	// Metrics, when non-nil, receives the process-lifetime aggregates
 	// the engine emits on every run: per-phase latency and allocation
@@ -180,7 +182,8 @@ type Options struct {
 	BatchSteps int64
 
 	// Passes names the transform pipeline Optimize runs, in order
-	// (normalize, peel, strength, ivsub, dce — see xform.PassNames).
+	// (normalize, peel, interchange, distribute, strength, dce,
+	// parmark — see xform.PassNames).
 	// Empty means the full pipeline in canonical order. Unknown names
 	// surface as an error from Optimize. Analyze ignores this field, and
 	// it stays out of the cache fingerprint: analysis results are shared

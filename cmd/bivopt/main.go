@@ -6,10 +6,11 @@
 //   - §5.2 trip counts,
 //   - wrap-around variables that loop peeling would fix (§4.1),
 //   - strength-reduction candidates (§1) and, with -apply, the whole
-//     transformation pipeline — normalize, peel, strength reduction,
-//     induction-variable substitution, dead-code sweep — run through
-//     the engine with clone-on-transform, fixed-point re-analysis and
-//     interpreter translation validation after every pass,
+//     transformation pipeline — normalize, peel, interchange,
+//     distribution, strength reduction, dead-code sweep, parallel
+//     marks — run through the engine with clone-on-transform,
+//     fixed-point re-analysis and interpreter translation validation
+//     after every pass,
 //   - §6 dependences, parallelizability, interchange legality and
 //     distribution π-blocks for every loop pair/nest.
 //
@@ -30,10 +31,10 @@
 // across workers (0, the default, uses one per CPU, divided across the
 // -jobs workers when batching); results are identical at every width. -passes
 // selects and orders the -apply pipeline (comma-separated; default
-// "normalize,peel,strength,ivsub,dce"). -stats prints phase timings and
-// pipeline counters to standard error; -trace writes a Chrome
-// trace-event file; -explain prints the provenance chain that
-// classified a variable.
+// "normalize,peel,interchange,distribute,strength,dce,parmark"). -stats
+// prints phase timings and pipeline counters to standard error; -trace
+// writes a Chrome trace-event file; -explain prints the provenance
+// chain that classified a variable.
 package main
 
 import (

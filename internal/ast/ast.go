@@ -215,6 +215,41 @@ func Walk(n Node, fn func(Node) bool) {
 	}
 }
 
+// RewriteFors rebuilds the file's statement lists bottom-up: each
+// for-loop's body is rewritten before the loop itself, and the loop is
+// then replaced by what fn returns for it: the loop to keep it, another
+// statement, or a *Block whose statements are spliced in its place
+// (the grammar has no bare-block statement).
+func RewriteFors(file *File, fn func(*For) Stmt) {
+	file.Stmts = rewriteFors(file.Stmts, fn)
+}
+
+func rewriteFors(list []Stmt, fn func(*For) Stmt) []Stmt {
+	out := make([]Stmt, 0, len(list))
+	for _, s := range list {
+		switch v := s.(type) {
+		case *For:
+			v.Body.Stmts = rewriteFors(v.Body.Stmts, fn)
+			s = fn(v)
+			if b, isBlock := s.(*Block); isBlock {
+				out = append(out, b.Stmts...)
+				continue
+			}
+		case *Loop:
+			v.Body.Stmts = rewriteFors(v.Body.Stmts, fn)
+		case *While:
+			v.Body.Stmts = rewriteFors(v.Body.Stmts, fn)
+		case *If:
+			v.Then.Stmts = rewriteFors(v.Then.Stmts, fn)
+			if v.Else != nil {
+				v.Else.Stmts = rewriteFors(v.Else.Stmts, fn)
+			}
+		}
+		out = append(out, s)
+	}
+	return out
+}
+
 // ---- Printing ----
 
 // String renders the program in canonical source form; parsing the

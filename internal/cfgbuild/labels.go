@@ -23,29 +23,18 @@ func ForLabels(file *ast.File) map[*ast.For]string {
 		}
 		return fmt.Sprintf("L%d", nextLabel)
 	}
-	var number func(list []ast.Stmt)
-	number = func(list []ast.Stmt) {
-		for _, s := range list {
-			switch v := s.(type) {
-			case *ast.For:
-				byNode[v] = assign(v.Label)
-				number(v.Body.Stmts)
-			case *ast.Loop:
-				assign(v.Label)
-				number(v.Body.Stmts)
-			case *ast.While:
-				assign(v.Label)
-				number(v.Body.Stmts)
-			case *ast.If:
-				number(v.Then.Stmts)
-				if v.Else != nil {
-					number(v.Else.Stmts)
-				}
-			case *ast.Block:
-				number(v.Stmts)
-			}
+	ast.Walk(file, func(n ast.Node) bool {
+		switch v := n.(type) {
+		case *ast.For:
+			byNode[v] = assign(v.Label)
+		case *ast.Loop:
+			assign(v.Label)
+		case *ast.While:
+			assign(v.Label)
+		case ast.Expr, *ast.Assign:
+			return false // no loop below
 		}
-	}
-	number(file.Stmts)
+		return true
+	})
 	return byNode
 }

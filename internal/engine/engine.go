@@ -176,7 +176,8 @@ type Config struct {
 	// engine.Frontend() plus the contributed analysis passes.
 	Passes []Pass
 	// Obs, when non-nil, records phase spans, counters and provenance
-	// for every run (batch workers record into forks merged back).
+	// for every run. Concurrent runs sharing it interleave their spans
+	// in its tree; batch workers record into forks merged back.
 	Obs *obs.Recorder
 	// Metrics, when non-nil, receives the process-lifetime aggregates:
 	// per-phase latency and allocation histograms, cache

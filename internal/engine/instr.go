@@ -108,21 +108,24 @@ func (in *instr) pass(name string, d time.Duration) { in.phase[name].Observe(d.N
 
 // allocs feeds the per-phase allocation histograms from a finished
 // analyze span's children, whose memstats reads the recorder already
-// paid for (a nil span: no recorder, nothing to feed).
+// paid for (a nil span: no recorder, nothing to feed). Concurrent runs
+// may share the recorder, so the children are read under its lock.
 func (in *instr) allocs(span *obs.Span) {
-	if span == nil || in.reg == nil {
+	if in.reg == nil {
 		return
 	}
-	for _, c := range span.Children {
-		if c.Allocs == 0 {
-			continue
+	span.Read(func(s *obs.Span) {
+		for _, c := range s.Children {
+			if c.Allocs == 0 {
+				continue
+			}
+			if h, ok := in.alloc[c.Name]; ok {
+				h.Observe(int64(c.Allocs))
+				continue
+			}
+			in.reg.Observe("phase."+c.Name+".allocs", int64(c.Allocs))
 		}
-		if h, ok := in.alloc[c.Name]; ok {
-			h.Observe(int64(c.Allocs))
-			continue
-		}
-		in.reg.Observe("phase."+c.Name+".allocs", int64(c.Allocs))
-	}
+	})
 }
 
 // run is an Analyze or Optimize call, or one optimizer phase, on both
@@ -197,16 +200,15 @@ func (r run) optimized(err error) {
 }
 
 // record captures the run in the flight recorder: its duration, a
-// source preview, the condensed span tree when a recorder was on, and
+// source preview, the condensed span tree when a recorder was on (read
+// under the recorder's lock, as concurrent runs may share it), and
 // a failure's error, phase and (for a contained panic) stack.
 func (r run) record(d time.Duration, err error) {
 	if r.in.fl == nil {
 		return
 	}
 	fr := metrics.Run{Start: r.start, DurUS: d.Microseconds(), Source: r.source, Bytes: len(r.source), Cached: r.cached}
-	if r.span != nil {
-		fr.Spans = metrics.Condense(r.span.Children, 4)
-	}
+	r.span.Read(func(s *obs.Span) { fr.Spans = metrics.Condense(s.Children, 4) })
 	if err != nil {
 		fr.Err = err.Error()
 		var ee *Error

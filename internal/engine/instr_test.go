@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"beyondiv/internal/engine"
@@ -53,6 +54,32 @@ func TestMetricsFedByAnalyze(t *testing.T) {
 	}
 	if len(recent[0].Spans) == 0 {
 		t.Error("uncached run has no condensed spans")
+	}
+}
+
+// TestSharedRecorderConcurrentRuns: runs may share one recorder. Their
+// spans interleave in its tree, so every read the engine makes of that
+// tree (the flight record's condensed spans, the per-phase allocation
+// histograms) holds the recorder's lock; -race checks that it does.
+func TestSharedRecorderConcurrentRuns(t *testing.T) {
+	fl := metrics.NewFlight(256, 4)
+	e := frontend(engine.Config{Obs: obs.New(), Metrics: metrics.NewRegistry(), Flight: fl})
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 64 {
+				if _, err := e.Analyze(src); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if recent, failed := fl.Snapshot(); len(recent) != 256 || len(failed) != 0 {
+		t.Errorf("flight = %d recent / %d failed, want 256/0", len(recent), len(failed))
 	}
 }
 

@@ -145,6 +145,19 @@ func (s *Span) End() {
 	r.cur = s.parent
 }
 
+// Read calls fn with the span while holding its recorder's lock, so fn
+// may read the span's subtree while other runs sharing the recorder
+// open and close spans in it. fn must only read: it must not call the
+// recorder or block. No-op on a nil span.
+func (s *Span) Read(fn func(*Span)) {
+	if s == nil {
+		return
+	}
+	s.rec.mu.Lock()
+	defer s.rec.mu.Unlock()
+	fn(s)
+}
+
 // Fork returns a recorder that shares r's epoch, clock and allocation
 // source but records into its own span tree, counter registry and
 // provenance log. Batch workers record into forks concurrently — one

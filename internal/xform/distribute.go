@@ -52,75 +52,36 @@ func runDistribute(st *engine.State) (int, error) {
 	}
 
 	// Decide every split against the pre-rewrite analyses, then mutate.
-	split := map[*ast.For][]*ast.For{}
+	split := map[*ast.For][]ast.Stmt{}
 	newLoops := 0
-	var plan func(list []ast.Stmt)
-	plan = func(list []ast.Stmt) {
-		for _, s := range list {
-			switch v := s.(type) {
-			case *ast.For:
-				lbl := forLabels[v]
-				if labelOK[lbl] {
-					if repl := planDistribution(st, deps, v, loopByLabel[lbl], usedLabels); repl != nil {
-						split[v] = repl
-						newLoops += len(repl) - 1
-						st.Obs().Decide(lbl, "distribute",
-							fmt.Sprintf("split into %d π-blocks", len(repl)))
-					}
-				}
-				plan(v.Body.Stmts)
-			case *ast.Loop:
-				plan(v.Body.Stmts)
-			case *ast.While:
-				plan(v.Body.Stmts)
-			case *ast.If:
-				plan(v.Then.Stmts)
-				if v.Else != nil {
-					plan(v.Else.Stmts)
-				}
-			case *ast.Block:
-				plan(v.Stmts)
+	ast.Walk(st.File, func(n ast.Node) bool {
+		switch v := n.(type) {
+		case ast.Expr, *ast.Assign:
+			return false // no loop below
+		case *ast.For:
+			lbl := forLabels[v]
+			if !labelOK[lbl] {
+				return true
+			}
+			if repl := planDistribution(st, deps, v, loopByLabel[lbl], usedLabels); repl != nil {
+				split[v] = repl
+				newLoops += len(repl) - 1
+				st.Obs().Decide(lbl, "distribute",
+					fmt.Sprintf("split into %d π-blocks", len(repl)))
 			}
 		}
-	}
-	plan(st.File.Stmts)
+		return true
+	})
 	if len(split) == 0 {
 		return 0, nil
 	}
 
-	var rewrite func(list []ast.Stmt) []ast.Stmt
-	rewrite = func(list []ast.Stmt) []ast.Stmt {
-		out := make([]ast.Stmt, 0, len(list))
-		for _, s := range list {
-			switch v := s.(type) {
-			case *ast.For:
-				if repl, ok := split[v]; ok {
-					for _, f := range repl {
-						out = append(out, f)
-					}
-					continue // flat body: nothing beneath to rewrite
-				}
-				v.Body.Stmts = rewrite(v.Body.Stmts)
-				out = append(out, v)
-			case *ast.Loop:
-				v.Body.Stmts = rewrite(v.Body.Stmts)
-				out = append(out, v)
-			case *ast.While:
-				v.Body.Stmts = rewrite(v.Body.Stmts)
-				out = append(out, v)
-			case *ast.If:
-				v.Then.Stmts = rewrite(v.Then.Stmts)
-				if v.Else != nil {
-					v.Else.Stmts = rewrite(v.Else.Stmts)
-				}
-				out = append(out, v)
-			default:
-				out = append(out, s)
-			}
+	ast.RewriteFors(st.File, func(f *ast.For) ast.Stmt {
+		if repl, ok := split[f]; ok {
+			return &ast.Block{Stmts: repl}
 		}
-		return out
-	}
-	st.File.Stmts = rewrite(st.File.Stmts)
+		return f
+	})
 	st.Add("engine.xform.distribute.splits", int64(len(split)))
 	st.Add("engine.xform.distribute.loops", int64(newLoops))
 	chargeBudget(st, "distribute", newLoops)
@@ -130,7 +91,7 @@ func runDistribute(st *engine.State) (int, error) {
 // planDistribution computes the replacement loops for one candidate, or
 // nil when the loop does not distribute (not a candidate, or a single
 // π-block).
-func planDistribution(st *engine.State, deps *depend.Result, f *ast.For, l *loops.Loop, usedLabels map[string]bool) []*ast.For {
+func planDistribution(st *engine.State, deps *depend.Result, f *ast.For, l *loops.Loop, usedLabels map[string]bool) []ast.Stmt {
 	if l == nil || len(f.Body.Stmts) < 2 {
 		return nil
 	}
@@ -178,7 +139,7 @@ func planDistribution(st *engine.State, deps *depend.Result, f *ast.For, l *loop
 
 	// Components pop successors-first; reverse for execution order and
 	// keep each block's statements in program order.
-	out := make([]*ast.For, 0, len(comps))
+	out := make([]ast.Stmt, 0, len(comps))
 	suffix := 2
 	for i := len(comps) - 1; i >= 0; i-- {
 		comp := comps[i]

@@ -46,42 +46,31 @@ func runInterchange(st *engine.State) (int, error) {
 	forLabels := cfgbuild.ForLabels(st.File)
 
 	n := 0
-	var walk func(list []ast.Stmt)
-	walk = func(list []ast.Stmt) {
-		for _, s := range list {
-			switch v := s.(type) {
-			case *ast.For:
-				if inner, ok := interchangeCandidate(v); ok {
-					lo, li := forLabels[v], forLabels[inner]
-					if labelOK[lo] && labelOK[li] &&
-						interchangeLegalProfitable(st, deps, loopByLabel[lo], loopByLabel[li]) {
-						v.Label, inner.Label = inner.Label, v.Label
-						v.Var, inner.Var = inner.Var, v.Var
-						v.Lo, inner.Lo = inner.Lo, v.Lo
-						v.Hi, inner.Hi = inner.Hi, v.Hi
-						v.Step, inner.Step = inner.Step, v.Step
-						n++
-						st.Obs().Decide(li, "interchange",
-							fmt.Sprintf("swapped outward across %s: legal and inner-parallel", lo))
-						continue // the nest is rewritten; decisions below it are stale
-					}
-				}
-				walk(v.Body.Stmts)
-			case *ast.Loop:
-				walk(v.Body.Stmts)
-			case *ast.While:
-				walk(v.Body.Stmts)
-			case *ast.If:
-				walk(v.Then.Stmts)
-				if v.Else != nil {
-					walk(v.Else.Stmts)
-				}
-			case *ast.Block:
-				walk(v.Stmts)
+	ast.Walk(st.File, func(node ast.Node) bool {
+		switch v := node.(type) {
+		case ast.Expr, *ast.Assign:
+			return false // no loop below
+		case *ast.For:
+			inner, ok := interchangeCandidate(v)
+			if !ok {
+				return true
+			}
+			lo, li := forLabels[v], forLabels[inner]
+			if labelOK[lo] && labelOK[li] &&
+				interchangeLegalProfitable(st, deps, loopByLabel[lo], loopByLabel[li]) {
+				v.Label, inner.Label = inner.Label, v.Label
+				v.Var, inner.Var = inner.Var, v.Var
+				v.Lo, inner.Lo = inner.Lo, v.Lo
+				v.Hi, inner.Hi = inner.Hi, v.Hi
+				v.Step, inner.Step = inner.Step, v.Step
+				n++
+				st.Obs().Decide(li, "interchange",
+					fmt.Sprintf("swapped outward across %s: legal and inner-parallel", lo))
+				return false // the nest is rewritten; decisions below it are stale
 			}
 		}
-	}
-	walk(st.File.Stmts)
+		return true
+	})
 	if n > 0 {
 		st.Add("engine.xform.interchange.swaps", int64(n))
 		chargeBudget(st, "interchange", n)

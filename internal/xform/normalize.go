@@ -1,6 +1,8 @@
 package xform
 
 import (
+	"strconv"
+
 	"beyondiv/internal/ast"
 	"beyondiv/internal/token"
 )
@@ -29,6 +31,12 @@ import (
 // positive constant, and the body must not assign the loop variable or
 // the bound's variables (the rewrite would change their sequence).
 func NormalizeFor(f *ast.For, counter string) (ast.Stmt, bool) {
+	return normalizeFor(f, func() string { return counter })
+}
+
+// normalizeFor is NormalizeFor with the counter's name asked for only
+// once the loop is known to normalize.
+func normalizeFor(f *ast.For, counter func() string) (ast.Stmt, bool) {
 	step := int64(1)
 	if f.Step != nil {
 		s, ok := constOf(f.Step)
@@ -52,7 +60,6 @@ func NormalizeFor(f *ast.For, counter string) (ast.Stmt, bool) {
 		return f, false
 	}
 
-	nv := &ast.Ident{Name: counter}
 	// New bound: floor((hi - lo) / s). Integer division in the language
 	// truncates, which differs from floor for negative spans when s > 1
 	// (a span of -1 with s = 2 would truncate to 0 and run a phantom
@@ -72,6 +79,7 @@ func NormalizeFor(f *ast.For, counter string) (ast.Stmt, bool) {
 		}
 		hi = &ast.Num{Value: n}
 	}
+	nv := &ast.Ident{Name: counter()}
 	// i = __n * s + lo
 	restore := func() *ast.Assign {
 		var scaled ast.Expr = nv
@@ -99,51 +107,55 @@ func NormalizeFor(f *ast.For, counter string) (ast.Stmt, bool) {
 }
 
 // NormalizeProgram normalizes every for-loop it can, returning the
-// rewritten file and the number of loops changed.
+// rewritten file and the number of loops changed. Each for-loop, in
+// post-order, takes the next counter name of the nrm sequence that the
+// file does not already use, so a counter never clobbers one of the
+// program's own variables; the sequence never repeats, so two loops
+// never share one. The file's names are collected on the first loop
+// that normalizes: a round in which every loop is already normal walks
+// nothing.
 func NormalizeProgram(file *ast.File) (*ast.File, int) {
+	var used map[string]bool
 	count := 0
 	counterID := 0
-	var rewrite func(list []ast.Stmt) []ast.Stmt
-	rewrite = func(list []ast.Stmt) []ast.Stmt {
-		out := make([]ast.Stmt, 0, len(list))
-		for _, s := range list {
-			switch v := s.(type) {
-			case *ast.For:
-				v.Body.Stmts = rewrite(v.Body.Stmts)
-				counterID++
-				norm, ok := NormalizeFor(v, normCounterName(counterID))
-				if ok {
-					count++
-					if blk, isBlk := norm.(*ast.Block); isBlk {
-						out = append(out, blk.Stmts...)
-						continue
-					}
-				}
-				out = append(out, norm)
-			case *ast.Loop:
-				v.Body.Stmts = rewrite(v.Body.Stmts)
-				out = append(out, v)
-			case *ast.While:
-				v.Body.Stmts = rewrite(v.Body.Stmts)
-				out = append(out, v)
-			case *ast.If:
-				v.Then.Stmts = rewrite(v.Then.Stmts)
-				if v.Else != nil {
-					v.Else.Stmts = rewrite(v.Else.Stmts)
-				}
-				out = append(out, v)
-			default:
-				out = append(out, s)
+	ast.RewriteFors(file, func(f *ast.For) ast.Stmt {
+		counterID++
+		norm, ok := normalizeFor(f, func() string {
+			if used == nil {
+				used = namesOf(file)
 			}
+			for used[normCounterName(counterID)] {
+				counterID++
+			}
+			return normCounterName(counterID)
+		})
+		if ok {
+			count++
 		}
-		return out
-	}
-	file.Stmts = rewrite(file.Stmts)
+		return norm
+	})
 	return file, count
 }
 
+// namesOf collects every scalar and array name the file uses.
+func namesOf(file *ast.File) map[string]bool {
+	names := map[string]bool{}
+	ast.Walk(file, func(n ast.Node) bool {
+		switch v := n.(type) {
+		case *ast.Ident:
+			names[v.Name] = true
+		case *ast.Index:
+			names[v.Name] = true
+		}
+		return true
+	})
+	return names
+}
+
+// normCounterName is the id-th counter name: nrma0, nrmb0, …, nrmy0,
+// nrmz1, nrma1, …, with the number growing past nrmz9.
 func normCounterName(id int) string {
-	return "nrm" + string(rune('a'+(id-1)%26)) + string(rune('0'+(id/26)%10))
+	return "nrm" + string(rune('a'+(id-1)%26)) + strconv.Itoa(id/26)
 }
 
 // varsOf collects the variable names appearing in the expressions.

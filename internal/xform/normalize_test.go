@@ -159,3 +159,57 @@ func TestNormalizeRefusals(t *testing.T) {
 		}
 	}
 }
+
+// TestNormalizeKeepsProgramNames: a counter never takes a name the
+// program already uses. Here the first name of the sequence is the
+// program's own scalar; a counter named nrma0 would overwrite it and
+// write a[1] = 0 and b[0] = 3 at n = 3.
+func TestNormalizeKeepsProgramNames(t *testing.T) {
+	src := `
+nrma0 = 5
+L1: for i = 1 to n {
+    a[i] = nrma0
+    nrma0 = nrma0 + 2
+}
+b[0] = nrma0
+`
+	f1, err := parse.File(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f2, err := parse.File(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	norm, n := NormalizeProgram(f2)
+	if n != 1 {
+		t.Fatalf("normalized %d loops, want 1:\n%s", n, norm)
+	}
+	cfg := interp.Config{Params: map[string]int64{"n": 3}}
+	r1, err1 := interp.RunAST(f1, cfg)
+	r2, err2 := interp.RunAST(norm, cfg)
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	if len(r1.Writes) != 4 || len(r2.Writes) != len(r1.Writes) {
+		t.Fatalf("writes %v, normalized %v", r1.Writes, r2.Writes)
+	}
+	for i := range r1.Writes {
+		if r1.Writes[i] != r2.Writes[i] {
+			t.Errorf("write %d: %v, normalized %v\n%s", i, r1.Writes[i], r2.Writes[i], norm)
+		}
+	}
+}
+
+// TestNormCounterNamesNeverRepeat: loop 261 of a file must not reuse
+// loop 1's counter.
+func TestNormCounterNamesNeverRepeat(t *testing.T) {
+	seen := map[string]int{}
+	for id := 1; id <= 1000; id++ {
+		name := normCounterName(id)
+		if prev, dup := seen[name]; dup {
+			t.Fatalf("loops %d and %d both get counter %s", prev, id, name)
+		}
+		seen[name] = id
+	}
+}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"beyondiv/internal/ast"
-	"beyondiv/internal/cfgbuild"
 	"beyondiv/internal/engine"
 	"beyondiv/internal/iv"
 	"beyondiv/internal/scratch"
@@ -24,9 +22,9 @@ import (
 //	                   exact distances exist); reorders the store trace
 //	distribute   AST   loop distribution along statement-level π-blocks in
 //	                   topological order; reorders the store trace
-//	strength     SSA   §1 classical strength reduction of const·linear
-//	ivsub        SSA   §5 induction-variable substitution of any Linear
-//	                   multiplicative value (symbolic init/step allowed)
+//	strength     SSA   §1 strength reduction by §5 induction-variable
+//	                   substitution: every Mul, Div or Exp classified
+//	                   Linear becomes an addition recurrence
 //	dce          SSA   sweep of values no observable outcome depends on
 //	parmark      MARK  annotate provably parallel loops for the chunked
 //	                   execution backend (no rewrite; validated once after
@@ -38,7 +36,7 @@ import (
 
 // PassNames returns the canonical pipeline order.
 func PassNames() []string {
-	return []string{"normalize", "peel", "interchange", "distribute", "strength", "ivsub", "dce", "parmark"}
+	return []string{"normalize", "peel", "interchange", "distribute", "strength", "dce", "parmark"}
 }
 
 // DefaultPasses returns the full pipeline in canonical order.
@@ -89,16 +87,6 @@ func passByName(name string) (engine.TransformPass, bool) {
 			chargeBudget(st, "strength", n)
 			return n, nil
 		}}, true
-	case "ivsub":
-		return engine.TransformPass{Name: "ivsub", Tier: engine.TierSSA, Run: func(st *engine.State) (int, error) {
-			a, err := analysisOf(st, "ivsub")
-			if err != nil {
-				return 0, err
-			}
-			n := SubstituteIVsScratch(a, xformScratch(st))
-			chargeBudget(st, "ivsub", n)
-			return n, nil
-		}}, true
 	case "dce":
 		return engine.TransformPass{Name: "dce", Tier: engine.TierSSA, Run: func(st *engine.State) (int, error) {
 			n := EliminateDeadCode(st.SSA)
@@ -134,52 +122,9 @@ func runPeel(st *engine.State) (int, error) {
 	if len(want) == 0 {
 		return 0, nil
 	}
-	n := peelByEffectiveLabel(st.File, want)
+	_, n := PeelProgram(st.File, want)
 	chargeBudget(st, "peel", n)
 	return n, nil
-}
-
-// peelByEffectiveLabel peels every for-loop whose *effective* label (see
-// cfgbuild.ForLabels) is in labels, so classification results keyed by
-// loop label map back onto the AST even for unlabeled loops.
-func peelByEffectiveLabel(file *ast.File, labels map[string]bool) int {
-	byNode := cfgbuild.ForLabels(file)
-
-	count := 0
-	var rewrite func(list []ast.Stmt) []ast.Stmt
-	rewrite = func(list []ast.Stmt) []ast.Stmt {
-		out := make([]ast.Stmt, 0, len(list))
-		for _, s := range list {
-			switch v := s.(type) {
-			case *ast.For:
-				v.Body.Stmts = rewrite(v.Body.Stmts)
-				if labels[byNode[v]] {
-					count++
-					peeled := PeelFor(v).(*ast.Block)
-					out = append(out, peeled.Stmts...)
-					continue
-				}
-				out = append(out, v)
-			case *ast.Loop:
-				v.Body.Stmts = rewrite(v.Body.Stmts)
-				out = append(out, v)
-			case *ast.While:
-				v.Body.Stmts = rewrite(v.Body.Stmts)
-				out = append(out, v)
-			case *ast.If:
-				v.Then.Stmts = rewrite(v.Then.Stmts)
-				if v.Else != nil {
-					v.Else.Stmts = rewrite(v.Else.Stmts)
-				}
-				out = append(out, v)
-			default:
-				out = append(out, s)
-			}
-		}
-		return out
-	}
-	file.Stmts = rewrite(file.Stmts)
-	return count
 }
 
 // analysisOf fetches the classification artifact a transform consumes,

@@ -7,7 +7,6 @@ import (
 	"beyondiv/internal/ir"
 	"beyondiv/internal/iv"
 	"beyondiv/internal/loops"
-	"beyondiv/internal/rational"
 )
 
 // Scratch is the transformation layer's arena slot (scratch.Arena.
@@ -41,18 +40,34 @@ func (s *Scratch) mark(id int) {
 	s.done[id] = s.gen
 }
 
-// ReduceStrength performs classical strength reduction on the SSA form,
-// driven by the unified classification: each multiplication c·v inside
-// a loop, where v is a linear induction variable with integral initial
-// value and constant integral step, is replaced by a new induction
-// variable maintained with an addition (paper §1: "the most common
-// candidates for strength reduction ... are array address calculations
-// in inner loops").
+// ReduceStrength performs strength reduction on the SSA form, driven by
+// the unified classification (paper §1: "the most common candidates for
+// strength reduction ... are array address calculations in inner
+// loops"). Every multiplicative value — Mul, Div or Exp — that the
+// classifier proves Linear in a loop, (L, init, step), is replaced by a
+// new induction variable maintained with an addition: a φ taking init
+// on entry and φ+step around each back edge, both materialized in the
+// preheader from the classification's symbolic Expr form (§5's
+// induction-variable substitution).
 //
-// Returns the number of multiplications reduced. The transformed
-// function stays in valid SSA form (ssa.Verify holds). Telemetry and
-// guard budgets are the engine pipeline's concern (see Passes); direct
-// callers get the bare rewrite.
+// The candidate need not be a syntactic const·v product: a product
+// scaled by a symbolic loop invariant qualifies, and so does a product
+// of a product (4·i, then 3·k with k = 4·i), because each value carries
+// its own classification. A zero step is kept: such a product is Linear
+// only because it reads a header φ the loop never changes, and the
+// recurrence computes it once in the preheader instead of once per
+// iteration. The rewrite is exact under wrap-around int64 semantics: a
+// Linear value equals init + step·h at iteration h, both expressions
+// over loop-invariant atoms, and repeated addition mod 2^64 agrees with
+// the folded product mod 2^64. It is gated on both expressions being
+// integral with every atom dominating the preheader; the classifier's
+// truncated-division algebra never classifies an IV quotient as
+// Linear, so no truncation case can slip through.
+//
+// Returns the number of values reduced. The transformed function stays
+// in valid SSA form (ssa.Verify holds). Telemetry and guard budgets are
+// the engine pipeline's concern (see Passes); direct callers get the
+// bare rewrite.
 func ReduceStrength(a *iv.Analysis) int { return ReduceStrengthScratch(a, nil) }
 
 // ReduceStrengthScratch is ReduceStrength against an explicit scratch
@@ -63,19 +78,15 @@ func ReduceStrengthScratch(a *iv.Analysis, scr *Scratch) int {
 	}
 	scr.begin()
 	reduced := 0
-	counter := 0
-	// Inner loops first: a multiplication is reduced at the innermost
-	// level where its operand actually varies.
+	// Inner loops first: a product is reduced at the innermost level
+	// where it actually varies.
 	for _, l := range a.Forest.InnerToOuter() {
 		pre := l.Preheader()
 		if pre == nil {
 			continue
 		}
-		for _, m := range mulCandidates(a, l) {
-			if scr.marked(m.ID) {
-				continue
-			}
-			if reduceOne(a, l, pre, m, &counter) {
+		for _, m := range products(l) {
+			if !scr.marked(m.ID) && reduceProduct(a, l, pre, m, reduced+1) {
 				scr.mark(m.ID)
 				reduced++
 			}
@@ -84,14 +95,15 @@ func ReduceStrengthScratch(a *iv.Analysis, scr *Scratch) int {
 	return reduced
 }
 
-// mulCandidates finds Mul values anywhere inside l (including nested
-// loops: an address multiplication in an inner loop may scale an outer
-// IV) in deterministic order.
-func mulCandidates(a *iv.Analysis, l *loops.Loop) []*ir.Value {
+// products finds the multiplicative values anywhere inside l, nested
+// loops included (an address product in an inner loop may scale an
+// outer IV), in deterministic order.
+func products(l *loops.Loop) []*ir.Value {
 	var out []*ir.Value
 	for _, b := range l.Blocks {
 		for _, v := range b.Values {
-			if v.Op == ir.OpMul {
+			switch v.Op {
+			case ir.OpMul, ir.OpDiv, ir.OpExp:
 				out = append(out, v)
 			}
 		}
@@ -100,53 +112,29 @@ func mulCandidates(a *iv.Analysis, l *loops.Loop) []*ir.Value {
 	return out
 }
 
-// reduceOne rewrites m = c·v (or v·c) when v is a linear IV of l.
-func reduceOne(a *iv.Analysis, l *loops.Loop, pre *ir.Block, m *ir.Value, counter *int) bool {
-	c, v, ok := constTimesValue(a, m)
-	if !ok {
+// reduceProduct replaces m with the call's nth recurrence, sr<nth>phi,
+// when m classifies Linear in l with integral init and step whose atoms
+// dominate the preheader.
+func reduceProduct(a *iv.Analysis, l *loops.Loop, pre *ir.Block, m *ir.Value, nth int) bool {
+	cls := a.ClassOf(l, m)
+	if cls.Kind != iv.Linear || !materializable(a, cls.Init, pre) || !materializable(a, cls.Step, pre) {
 		return false
 	}
-	cls := a.ClassOf(l, v)
-	if cls.Kind != iv.Linear || cls.Init == nil || cls.Step == nil {
-		return false
-	}
-	step, stepConst := cls.Step.ConstVal()
-	if !stepConst {
-		return false
-	}
-	newStep := step.Mul(rational.FromInt(c))
-	ns, isInt := newStep.Int()
-	if !isInt {
-		return false
-	}
-	// Materialize c·Init in the preheader; every atom must dominate it.
-	scaled := iv.ScaleExpr(cls.Init, rational.FromInt(c))
-	if scaled == nil || !dominatesAll(a, scaled, pre) {
-		return false
-	}
-	init := materialize(a.SSA.Func, pre, scaled)
-	if init == nil {
-		return false
-	}
-
 	f := a.SSA.Func
-	stepV := f.NewValue(pre, ir.OpConst)
-	stepV.Const = ns
-
-	*counter++
-	phi := insertRecurrence(f, l, init, stepV, fmt.Sprintf("sr%d", *counter))
-
-	// Replace every use of m with the φ (c·v(h) == φ(h) at any point of
+	init := materialize(f, pre, cls.Init)
+	step := materialize(f, pre, cls.Step)
+	phi := insertRecurrence(f, l, init, step, fmt.Sprintf("sr%d", nth))
+	// Replace every use of m with the φ (m(h) == φ(h) at any point of
 	// iteration h) and retire m itself.
 	replaceUses(f, m, phi)
 	retireValue(m, phi)
 	return true
 }
 
-// insertRecurrence builds the φ-maintained linear recurrence every
-// substitution-style rewrite shares: a φ at the front of l's header
-// taking init on entry edges and φ+step on each back edge. init and
-// step must be available in (dominate) the preheader.
+// insertRecurrence builds the φ-maintained linear recurrence: a φ at
+// the front of l's header taking init on entry edges and φ+step on each
+// back edge. init and step must be available in (dominate) the
+// preheader.
 func insertRecurrence(f *ir.Func, l *loops.Loop, init, step *ir.Value, name string) *ir.Value {
 	phi := f.NewValue(l.Header, ir.OpPhi, make([]*ir.Value, len(l.Header.Preds))...)
 	phi.Name = name + "phi"
@@ -200,54 +188,25 @@ func retireValue(v, repl *ir.Value) {
 	v.Var = ""
 }
 
-// dominatesAll reports whether every atom of e dominates b (i.e. the
-// expression can be materialized in b).
-func dominatesAll(a *iv.Analysis, e *iv.Expr, b *ir.Block) bool {
-	for atom := range e.Terms {
-		if !a.SSA.Dom.Dominates(atom.Block, b) {
+// materializable reports whether e can be emitted at the end of b:
+// its constant part and every coefficient integral, and every atom
+// dominating b.
+func materializable(a *iv.Analysis, e *iv.Expr, b *ir.Block) bool {
+	if e == nil || !e.Const.IsInt() {
+		return false
+	}
+	for atom, c := range e.Terms {
+		if !c.IsInt() || !a.SSA.Dom.Dominates(atom.Block, b) {
 			return false
 		}
 	}
 	return true
-}
-
-// integralExpr reports whether e materializes without leaving the
-// integers: constant part and every coefficient integral.
-func integralExpr(e *iv.Expr) bool {
-	if e == nil {
-		return false
-	}
-	if !e.Const.IsInt() {
-		return false
-	}
-	for _, c := range e.Terms {
-		if !c.IsInt() {
-			return false
-		}
-	}
-	return true
-}
-
-// constTimesValue matches m = const·v with the constant known to sccp.
-func constTimesValue(a *iv.Analysis, m *ir.Value) (int64, *ir.Value, bool) {
-	x, y := m.Args[0], m.Args[1]
-	if c, ok := a.Consts.Const(x); ok {
-		return c, y, true
-	}
-	if c, ok := a.Consts.Const(y); ok {
-		return c, x, true
-	}
-	return 0, nil, false
 }
 
 // materialize emits instructions computing an affine Expr at the end of
-// block b, or nil when a coefficient is not integral. The Expr's atoms
-// must dominate b (they are loop-external values and b is the
-// preheader).
+// block b. The Expr must be materializable in b (b is the preheader and
+// its atoms are loop-external values).
 func materialize(f *ir.Func, b *ir.Block, e *iv.Expr) *ir.Value {
-	if !integralExpr(e) {
-		return nil
-	}
 	k, _ := e.Const.Int()
 	acc := f.NewValue(b, ir.OpConst)
 	acc.Const = k

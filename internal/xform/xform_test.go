@@ -120,6 +120,30 @@ L9: for i = 1 to n {
 	}
 }
 
+// TestPeelEffectiveLabel: PeelProgram keys loops by effective label,
+// so an unlabeled first loop is L1, the label its classification
+// carries.
+func TestPeelEffectiveLabel(t *testing.T) {
+	src := `
+j = 0
+for i = 1 to n {
+    a[i] = j
+    j = i
+}
+`
+	file, err := parse.File(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peeled, n := PeelProgram(file, map[string]bool{"L1": true})
+	if n != 1 {
+		t.Fatalf("peeled %d loops, want 1:\n%s", n, peeled)
+	}
+	if !sameBehaviour(t, src, peeled.String()) {
+		t.Fatalf("peeling changed behaviour:\n%s", peeled)
+	}
+}
+
 func findHeaderPhi(a *iv.Analysis, l *loops.Loop, name string) *ir.Value {
 	for _, v := range l.Header.Values {
 		if v.Op == ir.OpPhi && a.SSA.VarOf(v) == name {
@@ -179,11 +203,11 @@ func buildAnalysis(t *testing.T, src string) *iv.Analysis {
 	return a
 }
 
-// runSSAWith counts multiplication executions.
-func runSSAWith(t *testing.T, info *ssa.Info) (*interp.Result, int) {
+// runSSAWith runs info on params and counts multiplication executions.
+func runSSAWith(t *testing.T, info *ssa.Info, params map[string]int64) (*interp.Result, int) {
 	t.Helper()
 	muls := 0
-	res, err := interp.RunSSAHooked(info, interp.Config{Params: xfParams, MaxSteps: 300_000}, interp.Hooks{
+	res, err := interp.RunSSAHooked(info, interp.Config{Params: params, MaxSteps: 300_000}, interp.Hooks{
 		OnEval: func(v *ir.Value, val int64) {
 			if v.Op == ir.OpMul {
 				muls++
@@ -206,7 +230,7 @@ L1: for i = 1 to n {
 }
 `
 	a := buildAnalysis(t, src)
-	before, mulsBefore := runSSAWith(t, a.SSA)
+	before, mulsBefore := runSSAWith(t, a.SSA, xfParams)
 	if mulsBefore == 0 {
 		t.Fatal("expected multiplications before reduction")
 	}
@@ -218,7 +242,7 @@ L1: for i = 1 to n {
 	if errs := ssa.Verify(a.SSA); len(errs) != 0 {
 		t.Fatalf("SSA broken after reduction: %v\n%s", errs, a.SSA.Func)
 	}
-	after, mulsAfter := runSSAWith(t, a.SSA)
+	after, mulsAfter := runSSAWith(t, a.SSA, xfParams)
 	if mulsAfter >= mulsBefore {
 		t.Errorf("muls: before %d, after %d — no win", mulsBefore, mulsAfter)
 	}
@@ -243,7 +267,7 @@ L1: for i = 1 to 8 {
 }
 `
 	a := buildAnalysis(t, src)
-	before, mulsBefore := runSSAWith(t, a.SSA)
+	before, mulsBefore := runSSAWith(t, a.SSA, xfParams)
 	n := ReduceStrength(a)
 	if n == 0 {
 		t.Fatalf("nothing reduced:\n%s", a.SSA.Func)
@@ -251,9 +275,70 @@ L1: for i = 1 to 8 {
 	if errs := ssa.Verify(a.SSA); len(errs) != 0 {
 		t.Fatalf("SSA broken: %v", errs)
 	}
-	after, mulsAfter := runSSAWith(t, a.SSA)
+	after, mulsAfter := runSSAWith(t, a.SSA, xfParams)
 	if mulsAfter >= mulsBefore {
 		t.Errorf("muls: before %d, after %d", mulsBefore, mulsAfter)
+	}
+	for i := range before.Writes {
+		if before.Writes[i] != after.Writes[i] {
+			t.Fatalf("write %d differs after reduction", i)
+		}
+	}
+}
+
+// TestStrengthReduceProductOfProduct: each product carries its own
+// classification, so 3·k reduces even after k = 4·i has become a φ,
+// and the loop executes no multiply at all.
+func TestStrengthReduceProductOfProduct(t *testing.T) {
+	src := `
+L1: for i = 1 to n {
+    k = 4 * i
+    a[3 * k] = i
+}
+`
+	a := buildAnalysis(t, src)
+	params := map[string]int64{"n": 16}
+	before, mulsBefore := runSSAWith(t, a.SSA, params)
+	if n := ReduceStrength(a); n != 2 {
+		t.Fatalf("reduced %d products, want 2:\n%s", n, a.SSA.Func)
+	}
+	if errs := ssa.Verify(a.SSA); len(errs) != 0 {
+		t.Fatalf("SSA broken: %v", errs)
+	}
+	after, mulsAfter := runSSAWith(t, a.SSA, params)
+	if mulsBefore != 32 || mulsAfter != 0 {
+		t.Errorf("multiplies at n = 16: %d before, %d after; want 32 and 0", mulsBefore, mulsAfter)
+	}
+	for i := range before.Writes {
+		if before.Writes[i] != after.Writes[i] {
+			t.Fatalf("write %d differs after reduction", i)
+		}
+	}
+}
+
+// TestStrengthReduceZeroStep: a product Linear with step zero (it reads
+// a header φ the loop never changes) is still reduced: the recurrence
+// computes it once in the preheader instead of once per iteration.
+func TestStrengthReduceZeroStep(t *testing.T) {
+	src := `
+t = n
+L1: for i = 1 to n {
+    t = t
+    a[8 * t + i] = i
+}
+`
+	a := buildAnalysis(t, src)
+	params := map[string]int64{"n": 16}
+	before, mulsBefore := runSSAWith(t, a.SSA, params)
+	if n := ReduceStrength(a); n != 1 {
+		t.Fatalf("reduced %d products, want 1:\n%s", n, a.SSA.Func)
+	}
+	if errs := ssa.Verify(a.SSA); len(errs) != 0 {
+		t.Fatalf("SSA broken: %v", errs)
+	}
+	after, mulsAfter := runSSAWith(t, a.SSA, params)
+	if mulsBefore != 16 || mulsAfter != 1 {
+		t.Errorf("multiplies at n = 16: %d before, %d after; want 16 and 1", mulsBefore, mulsAfter)
 	}
 	for i := range before.Writes {
 		if before.Writes[i] != after.Writes[i] {

@@ -126,9 +126,8 @@ func TestOptimizeCorpusDifferential(t *testing.T) {
 		{"normalize"},
 		{"peel"},
 		{"strength"},
-		{"ivsub"},
 		{"dce"},
-		{"strength", "ivsub", "dce"},
+		{"strength", "dce"},
 		{"peel", "normalize", "strength", "dce"}, // permuted AST order
 	}
 	if testing.Short() {
@@ -170,6 +169,11 @@ func TestOptimizeUnknownPass(t *testing.T) {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error does not list available pass %q: %v", name, err)
 		}
+	}
+	// strength does what ivsub did; the name is gone with the pass.
+	if _, err := OptimizeWith(optSrc, Options{Passes: []string{"ivsub"}}); err == nil ||
+		!strings.Contains(err.Error(), `unknown pass "ivsub"`) {
+		t.Errorf("ivsub still resolves: %v", err)
 	}
 	items := OptimizeBatch([]string{optSrc, optSrc}, Options{Passes: []string{"strengt"}})
 	for i, it := range items {
