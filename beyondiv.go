@@ -158,12 +158,17 @@ type Options struct {
 	// an error from every entry point rather than silently analyzing
 	// uncached.
 	//
-	// Writes land in the background: a cold run hands its entry and
-	// alias to the analyzer's writer and returns, and the analyzer's
-	// own reads see them at once. Call Analyzer.Flush before the
-	// process exits and before another analyzer or process reads the
-	// directory (AnalyzeWith, AnalyzeBatch, OptimizeWith and
+	// Writes land in the background: a cold run hands its analyzed
+	// program to the analyzer's writer and returns, the writer renders
+	// and encodes the entry and writes it with its alias, and the
+	// analyzer's own reads see them at once. Call Analyzer.Flush before
+	// the process exits and before another analyzer or process reads
+	// the directory (AnalyzeWith, AnalyzeBatch, OptimizeWith and
 	// OptimizeBatch flush before returning; bivd's drain flushes).
+	// Until the write is on disk the writer reads the returned Program:
+	// a caller that mutates an analyzed Program in place must analyze
+	// without a CacheDir or call Flush first — as with CacheEntries,
+	// whose hits share the Program.
 	CacheDir string
 	// CacheMaxBytes bounds the disk store's total size (<= 0 means
 	// store.DefaultMaxBytes, 256 MiB); least-recently-used entries are
@@ -294,9 +299,10 @@ func NewAnalyzer(opts Options) *Analyzer {
 }
 
 // Flush waits until every disk-store write the analyzer has handed off
-// is on disk. With a CacheDir, a cold run's artifact is written in the
-// background; call Flush before the process exits and before another
-// analyzer or process reads the directory. Without a CacheDir it
+// is on disk. With a CacheDir, a cold run's artifact is built and
+// written in the background; call Flush before the process exits,
+// before another analyzer or process reads the directory, and before
+// mutating a Program the analyzer returned. Without a CacheDir it
 // returns at once.
 func (a *Analyzer) Flush() { a.eng.Flush() }
 

@@ -24,6 +24,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"beyondiv"
 	"beyondiv/internal/ast"
@@ -659,12 +660,18 @@ func TestPersistCorruptionRecovers(t *testing.T) {
 // TestBivdMatchesFacade: bivd's bodies carry the reference's renderings
 // on /v1/batch over the rows, /v1/analyze, /v1/explain of every key
 // (the last also asks for the dependences' provenance) and /v1/optimize;
-// a failing row answers 422 with its phase.
+// a failing row answers 422 with its phase. The server keeps a store,
+// so the later calls render memory-cached states while the store's
+// writer builds blobs from them.
 func TestBivdMatchesFacade(t *testing.T) {
 	rows, mux := rowsOf(t, small), http.NewServeMux()
-	serve.New(serve.Config{Options: beyondiv.Options{Parallel: 1, CacheEntries: len(rows)}}).Register(mux)
+	srv := serve.New(serve.Config{Options: beyondiv.Options{Parallel: 1, CacheEntries: len(rows), CacheDir: t.TempDir()}})
+	srv.Register(mux)
 	ts := httptest.NewServer(mux)
-	t.Cleanup(ts.Close) // after the rows, which run once this function returns
+	t.Cleanup(func() { // after the rows, which run once this function returns
+		ts.Close()
+		srv.Drain(time.Second) // flushes the store before its directory goes
+	})
 	url := ts.URL + "/v1/"
 	_, batch := post(t, url+"batch", map[string]any{"sources": sources(rows)})
 	if len(batch.Results) != len(rows) {

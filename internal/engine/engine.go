@@ -226,8 +226,11 @@ type Config struct {
 	// and comment edits and α-renamed duplicates still hit. Every entry
 	// is decoded through the codec's checksum and version gate; a bad
 	// blob is deleted and the source re-analyzed. Writes land in the
-	// background, in order; the engine reads its own pending writes,
-	// and Flush waits for them to reach the disk.
+	// background, in order: a cold run hands its returned State to the
+	// engine's writer, which builds the blob (BuildArtifact) and writes
+	// it. The engine reads its own pending writes, building a pending
+	// blob on demand, and Flush waits for them to reach the disk. A
+	// caller must not mutate a returned State before Flush.
 	Store *store.Store
 	// BuildArtifact serializes a fresh successful state into a codec
 	// blob for the disk store. The engine cannot build it itself — the
@@ -235,7 +238,14 @@ type Config struct {
 	// packages, which import engine — so the facade supplies the hook.
 	// It receives the structural hash and name table the engine
 	// computed after parse, so a write never hashes the program again.
-	// A nil hook (or an error return) makes the store read-only.
+	// It runs once per write, after the run has returned the state:
+	// on the writer goroutine, on a reader's that needs the pending
+	// blob, or on the cold run's own when maxUnbuilt writes already
+	// wait for the writer. The state is detached from its run by then
+	// (no recorder, limits or arena) and may be read concurrently by
+	// other goroutines, so the hook only reads it. A nil hook makes the
+	// store read-only; an error return drops the write, and a panic
+	// drops it too and counts engine.store.fault.
 	BuildArtifact func(st *State, structSum [32]byte, names []string) ([]byte, error)
 	// StoreWriteOnly disables disk *reads* while keeping writes: set by
 	// callers whose consumers need the live object graphs (SSA dumps,
@@ -414,10 +424,10 @@ func (e *Engine) analyze(source string, rec *obs.Recorder, lim guard.Limits, par
 	// shared across goroutines and must not alias a recycled arena.
 	st.scratch = nil
 	e.arenas.Put(ar)
-	if haveStruct && e.cfg.BuildArtifact != nil {
-		e.diskWrite(st, structSum, structNames)
-	}
 	e.remember(r.sink, key, st)
+	if haveStruct && e.cfg.BuildArtifact != nil {
+		e.diskWrite(r.sink, st, structSum, structNames)
+	}
 	return st, nil
 }
 

@@ -98,22 +98,23 @@ func (e *Engine) discard(s sink, key [32]byte) {
 	s.Add("engine.store.corrupt", 1)
 }
 
-// diskWrite persists a fresh successful run: the encoded artifact under
-// the structural key, plus an alias for the exact source that produced
-// it. The blob is built here, from the live state, and the two files
-// are handed to the writer; engine.store.write counts the hand-off on
-// the run's sink. Serialization or I/O failures only cost persistence —
-// the live result has already been computed and is returned regardless.
-func (e *Engine) diskWrite(st *State, structSum [32]byte, structNames []string) {
-	data, err := e.cfg.BuildArtifact(st, structSum, structNames)
-	if err != nil || data == nil {
-		return
-	}
-	e.w.handOff(&write{
-		entryKey: e.entryKey(structSum), entry: data,
+// diskWrite hands a fresh successful run to the writer: the alias for
+// the exact source, and the entry, whose blob is built from st (by now
+// detached from its run, and immutable) by whichever of the writer and
+// a reader of the entry needs it first — or here, when maxUnbuilt
+// writes already wait. engine.store.write counts the hand-off on the
+// run's sink s. Serialization or I/O failures only cost persistence —
+// the live result has already been computed and is returned
+// regardless.
+func (e *Engine) diskWrite(s sink, st *State, structSum [32]byte, structNames []string) {
+	wr := &write{
+		entryKey: e.entryKey(structSum),
 		aliasKey: e.aliasKey(st.Source), alias: codec.EncodeAlias(structSum, structNames),
-	})
-	st.Add("engine.store.write", 1)
+		build: func() ([]byte, error) { return e.cfg.BuildArtifact(st, structSum, structNames) },
+	}
+	if e.w.handOff(wr) {
+		s.Add("engine.store.write", 1)
+	}
 }
 
 // Flush waits until every store write handed off before the call is on
@@ -123,20 +124,30 @@ func (e *Engine) diskWrite(st *State, structSum [32]byte, structNames []string) 
 // returns at once.
 func (e *Engine) Flush() { e.w.flush() }
 
-// maxPendingBytes bounds the blob bytes handed to a writer and not yet
-// on disk. A hand-off past it blocks until the writer catches up, so a
-// burst of cold runs holds at most this much (plus one blob) in memory
-// and no write is ever dropped.
+// maxPendingBytes bounds the built blob bytes handed to a writer and
+// not yet on disk. A hand-off past it blocks until the writer catches
+// up, so a burst of cold runs holds at most this much (plus one blob)
+// in memory and no write is ever dropped.
 const maxPendingBytes = 8 << 20
 
+// maxUnbuilt bounds the writes that wait for the writer with their
+// blob not yet built. A hand-off that finds this many waiting builds
+// its blob on its own goroutine and queues the bytes under
+// maxPendingBytes: a cold run never waits for the writer's builds, and
+// nothing is dropped. A larger bound keeps the writer's CPU busier,
+// and the heap grows with the work done per second (DESIGN §13).
+const maxUnbuilt = 2
+
 // writer takes an engine's store writes off the request path: one
-// goroutine at a time writes the handed-off records in hand-off order,
-// each entry before its alias, so a reader in another process that
-// finds an alias finds its entry. It runs only while records are
-// pending. A nil writer (no store) holds nothing and flushes at once.
+// goroutine at a time builds and writes the handed-off records in
+// hand-off order, each entry before its alias, so a reader in another
+// process that finds an alias finds its entry. It runs only while
+// records are pending. A nil writer (no store) holds nothing and
+// flushes at once.
 type writer struct {
 	// put is the store's Put. s is the engine's recorder and registry:
-	// the writer counts the store evictions it makes there.
+	// the writer counts there the store evictions it makes and the
+	// builds that panic.
 	put func(key [32]byte, data []byte) (evicted int, err error)
 	s   sink
 
@@ -144,20 +155,54 @@ type writer struct {
 	cond    sync.Cond // broadcast when a write finishes or the writer stops
 	queue   []*write
 	pending map[[32]byte]*write // key -> the latest queued write of it
-	bytes   int                 // blob bytes queued and not yet written
+	bytes   int                 // built blob bytes queued and not yet written
+	unbuilt int                 // queued writes whose blob waits for the writer
 	sent    uint64              // writes handed off
 	done    uint64              // writes finished, on disk or failed
 	running bool
 }
 
 // write is one hand-off: an entry and the alias that points at it, or
-// an alias alone (nil entry) for a structural hit.
+// an alias alone (nil entry, nil build) for a structural hit. An entry
+// is either built before the hand-off (entry) or built later by build,
+// through once, on the writer or on a reader of the pending entry; blob
+// is the only way to read it then.
 type write struct {
 	entryKey, aliasKey [32]byte
 	entry, alias       []byte
+
+	build    func() ([]byte, error)
+	once     sync.Once
+	deferred bool // queued unbuilt: counted in writer.unbuilt, not bytes
+	size     int  // the bytes counted in writer.bytes
 }
 
-func (w *write) size() int { return len(w.entry) + len(w.alias) }
+// blob returns the entry blob, building it first if the hand-off left
+// that to later; nil for an alias alone and for a failed build.
+func (wr *write) blob(w *writer) []byte {
+	if wr.build != nil {
+		wr.once.Do(func() { wr.entry = w.built(wr.build) })
+	}
+	return wr.entry
+}
+
+// built runs one write's build. A panic in it is contained: the write
+// is dropped, entry and alias alike, and counted once as
+// engine.store.fault on the engine's sink; the run's live result is
+// returned regardless.
+func (w *writer) built(build func() ([]byte, error)) (data []byte) {
+	defer func() {
+		if recover() != nil {
+			data = nil
+			w.s.Add("engine.store.fault", 1)
+		}
+	}()
+	data, err := build()
+	if err != nil {
+		return nil
+	}
+	return data
+}
 
 func newWriter(st *store.Store, s sink) *writer {
 	w := &writer{put: st.Put, s: s, pending: map[[32]byte]*write{}}
@@ -165,60 +210,87 @@ func newWriter(st *store.Store, s sink) *writer {
 	return w
 }
 
-// handOff queues wr, blocking while the pending bytes are at or past
-// maxPendingBytes.
-func (w *writer) handOff(wr *write) {
+// handOff queues wr and reports whether it did. An unbuilt write waits
+// for the writer as one of at most maxUnbuilt; past that, handOff
+// builds its blob first, and drops the write if the build fails. A
+// built blob queues under the byte bound: handOff blocks while the
+// pending bytes are at or past maxPendingBytes.
+func (w *writer) handOff(wr *write) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for w.bytes >= maxPendingBytes {
-		w.cond.Wait()
+	if wr.build != nil {
+		if w.unbuilt < maxUnbuilt {
+			wr.deferred = true
+			w.unbuilt++
+		} else { // the writer is behind: build here instead of waiting
+			w.mu.Unlock()
+			data := wr.blob(w)
+			w.mu.Lock()
+			if data == nil {
+				return false
+			}
+		}
+	}
+	wr.size = len(wr.alias)
+	if !wr.deferred {
+		wr.size += len(wr.entry)
+		for w.bytes >= maxPendingBytes {
+			w.cond.Wait()
+		}
 	}
 	w.queue = append(w.queue, wr)
-	if wr.entry != nil {
+	if wr.build != nil || wr.entry != nil {
 		w.pending[wr.entryKey] = wr
 	}
 	w.pending[wr.aliasKey] = wr
-	w.bytes += wr.size()
+	w.bytes += wr.size
 	w.sent++
 	if !w.running {
 		w.running = true
 		go w.run()
 	}
+	return true
 }
 
-// get returns the blob a pending write holds under key.
+// get returns the blob a pending write holds under key, building a
+// pending entry's blob if no one has yet.
 func (w *writer) get(key [32]byte) ([]byte, bool) {
 	if w == nil {
 		return nil, false
 	}
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	wr := w.pending[key]
+	w.mu.Unlock()
 	switch {
 	case wr == nil:
 		return nil, false
 	case key == wr.aliasKey:
 		return wr.alias, true
-	default:
-		return wr.entry, true
 	}
+	data := wr.blob(w)
+	return data, data != nil
 }
 
-// run writes the queue in order until it is empty. An entry that fails
-// to write takes its alias with it: an alias must not point at nothing.
+// run builds and writes the queue in order until it is empty. An entry
+// that fails to build or to write takes its alias with it: an alias
+// must not point at nothing.
 func (w *writer) run() {
 	w.mu.Lock()
 	for len(w.queue) > 0 {
 		wr := w.queue[0]
 		w.queue[0] = nil
 		w.queue = w.queue[1:]
+		if wr.deferred {
+			w.unbuilt--
+		}
 		w.mu.Unlock()
 
+		entry := wr.blob(w)
 		evicted, err := 0, error(nil)
-		if wr.entry != nil {
-			evicted, err = w.put(wr.entryKey, wr.entry)
+		if entry != nil {
+			evicted, err = w.put(wr.entryKey, entry)
 		}
-		if err == nil {
+		if err == nil && (entry != nil || wr.build == nil) {
 			n, _ := w.put(wr.aliasKey, wr.alias)
 			evicted += n
 		}
@@ -232,7 +304,7 @@ func (w *writer) run() {
 				delete(w.pending, k)
 			}
 		}
-		w.bytes -= wr.size()
+		w.bytes -= wr.size
 		w.done++
 		w.cond.Broadcast()
 	}

@@ -3,6 +3,9 @@ package engine
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -163,6 +166,132 @@ func TestWriteBehindBound(t *testing.T) {
 	if disk.Len() != 10 {
 		t.Fatalf("store holds %d blobs, want all 10 handed off", disk.Len())
 	}
+}
+
+// TestWriteBehindCallerBuilds: with the writer paused, maxUnbuilt cold
+// runs hand off without building their blob; the next run builds its
+// own, once and on its own goroutine, and returns without waiting for
+// the writer. After Flush every one of them is on disk.
+func TestWriteBehindCallerBuilds(t *testing.T) {
+	disk := openStore(t, t.TempDir())
+	reg := metrics.NewRegistry()
+	cfg := persistConfig(disk, reg, nil)
+	stub := cfg.BuildArtifact
+	var mu sync.Mutex
+	var builders []bool // per hook call: did it run on the test's goroutine?
+	cfg.BuildArtifact = func(st *State, sum [32]byte, names []string) ([]byte, error) {
+		mu.Lock()
+		builders = append(builders, strings.Contains(string(debug.Stack()), "TestWriteBehindCallerBuilds"))
+		mu.Unlock()
+		return stub(st, sum, names)
+	}
+	calls := func() []bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(builders)
+	}
+	e := New(cfg)
+	pause(e)
+	src := func(k int) string { return fmt.Sprintf("s = %d\nfor i = 1 to n {\n    s = s + i\n}\n", k) }
+	for k := 0; k < maxUnbuilt; k++ {
+		if _, err := e.Analyze(src(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c := calls(); len(c) != 0 {
+		t.Fatalf("%d cold runs called the hook %d times before the writer ran, want 0", maxUnbuilt, len(c))
+	}
+	returned := make(chan error)
+	go func() {
+		_, err := e.Analyze(src(maxUnbuilt))
+		returned <- err
+	}()
+	select {
+	case err := <-returned:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a cold run past the unbuilt bound waited for the paused writer")
+	}
+	if c := calls(); len(c) != 1 || !c[0] {
+		t.Fatalf("hook calls %v, want one, on the cold run's own goroutine", c)
+	}
+	resume(e)
+	e.Flush()
+	if c := calls(); len(c) != maxUnbuilt+1 {
+		t.Fatalf("the hook ran %d times in all, want %d", len(c), maxUnbuilt+1)
+	}
+	if n := reg.Counter("engine.store.write"); n != maxUnbuilt+1 {
+		t.Fatalf("engine.store.write = %d, want %d", n, maxUnbuilt+1)
+	}
+	if disk.Len() != 2*(maxUnbuilt+1) {
+		t.Fatalf("store holds %d blobs, want %d", disk.Len(), 2*(maxUnbuilt+1))
+	}
+}
+
+// TestWriteBehindBuildFault: a panic while building a blob, on the
+// writer or on a reader of the pending entry, costs only that write.
+// Analyze returns the live result, neither record reaches the disk, the
+// fault counts once as engine.store.fault, and later writes land.
+func TestWriteBehindBuildFault(t *testing.T) {
+	faulty := func(disk *store.Store, reg *metrics.Registry) *Engine {
+		cfg := persistConfig(disk, reg, nil)
+		stub := cfg.BuildArtifact
+		cfg.BuildArtifact = func(st *State, sum [32]byte, names []string) ([]byte, error) {
+			if st.Source == persistSrc {
+				panic("build fault")
+			}
+			return stub(st, sum, names)
+		}
+		return New(cfg)
+	}
+	t.Run("writer", func(t *testing.T) {
+		disk, reg := openStore(t, t.TempDir()), metrics.NewRegistry()
+		e := faulty(disk, reg)
+		if st, err := e.Analyze(persistSrc); err != nil || st.SSA == nil {
+			t.Fatalf("Analyze did not return the live result (%v)", err)
+		}
+		e.Flush()
+		if disk.Len() != 0 {
+			t.Fatalf("store holds %d blobs of a write whose build panicked", disk.Len())
+		}
+		if n := reg.Counter("engine.store.fault"); n != 1 {
+			t.Fatalf("engine.store.fault = %d, want 1", n)
+		}
+		if _, err := e.Analyze("x = 1\n"); err != nil {
+			t.Fatal(err)
+		}
+		e.Flush()
+		if disk.Len() != 2 {
+			t.Fatalf("store holds %d blobs after a later write, want 2", disk.Len())
+		}
+	})
+	t.Run("reader", func(t *testing.T) {
+		// A formatting variant reads the paused write's entry and builds
+		// it; the writer later finds it built and failed.
+		disk, reg := openStore(t, t.TempDir()), metrics.NewRegistry()
+		e := faulty(disk, reg)
+		pause(e)
+		if _, err := e.Analyze(persistSrc); err != nil {
+			t.Fatal(err)
+		}
+		variant := "s=0 // comment\nfor i = 1 to n { s = s + i }\n"
+		if st, err := e.Analyze(variant); err != nil || st.Decoded() != nil {
+			t.Fatalf("the variant was not analyzed afresh past the failed build (%v)", err)
+		}
+		if n := reg.Counter("engine.store.fault"); n != 1 {
+			t.Fatalf("engine.store.fault = %d after the reader's build, want 1", n)
+		}
+		resume(e)
+		e.Flush()
+		if n := reg.Counter("engine.store.fault"); n != 1 {
+			t.Fatalf("engine.store.fault = %d after Flush, want 1", n)
+		}
+		if disk.Len() != 2 {
+			t.Fatalf("store holds %d blobs, want the variant's entry and alias", disk.Len())
+		}
+	})
 }
 
 // TestWriteBehindConcurrentFlush: Analyze and Flush from many
