@@ -62,6 +62,7 @@ FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -fuzz FuzzAnalyze -fuzztime $(FUZZTIME) -run '^$$' .
 	$(GO) test -fuzz FuzzInterpreters -fuzztime $(FUZZTIME) -run '^$$' .
+	$(GO) test -fuzz FuzzCompiledInterp -fuzztime $(FUZZTIME) -run '^$$' ./internal/interp/
 	$(GO) test -fuzz FuzzRun -fuzztime $(FUZZTIME) -run '^$$' .
 	$(GO) test -fuzz FuzzEquivalence -fuzztime $(FUZZTIME) -run '^$$' .
 	$(GO) test -fuzz FuzzArtifactCodec -fuzztime $(FUZZTIME) -run '^$$' ./internal/codec/

@@ -6,6 +6,14 @@
 // dynamic oracle for induction-variable classification: internal/iv's
 // tests compare predicted closed forms against observed value traces.
 //
+// The SSA interpreter runs a compiled form: Compile turns the function
+// into op-coded instructions over dense value slots once, and a
+// Program replays it under any number of Configs (translation
+// validation replays one program over a whole parameter grid).
+// RunSSA and RunSSAHooked are Compile + Run. A run counts one step per
+// executed value, and what it cannot execute (malformed IR) is an
+// error when execution reaches it, never a panic.
+//
 // Shared semantics (both interpreters implement exactly these):
 //   - all scalars are int64 with wrapping arithmetic;
 //   - x / 0 == 0 (so random programs cannot fault);

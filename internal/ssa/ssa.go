@@ -61,6 +61,19 @@ func (i *Info) VarOf(v *ir.Value) string {
 	return ""
 }
 
+// VarNames returns the function's interned variable symbol table,
+// sorted; VarIndex indexes it. Callers must not modify it.
+func (i *Info) VarNames() []string { return i.varNames }
+
+// VarIndex returns the position in VarNames of the variable v carries,
+// or -1 exactly when VarOf(v) is "".
+func (i *Info) VarIndex(v *ir.Value) int {
+	if v == nil || v.ID < 0 || v.ID >= len(i.varOf) {
+		return -1
+	}
+	return int(i.varOf[v.ID])
+}
+
 // Build converts f to SSA form in place and returns the Info: no
 // telemetry, no limits, fresh tables.
 func Build(f *ir.Func) *Info { return BuildScratch(f, nil, guard.Limits{}, nil) }

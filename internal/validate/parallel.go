@@ -3,7 +3,6 @@ package validate
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"beyondiv/internal/ast"
 	"beyondiv/internal/interp"
@@ -25,12 +24,7 @@ func Parallel(info *ssa.Info, file *ast.File, marks map[string]bool, workers int
 	if len(marks) == 0 {
 		return nil
 	}
-	names := make([]string, 0, len(info.Params))
-	for n := range info.Params {
-		names = append(names, n)
-	}
-	slices.Sort(names)
-
+	names := sortedKeys(info.Params)
 	grid := opts.grid()
 	runs := 1
 	for range names {
@@ -83,7 +77,8 @@ func compareParallelOnce(file *ast.File, marks map[string]bool, workers int, par
 		return fmt.Errorf("scalar environment differs: %d scalars sequentially, %d in parallel",
 			len(want.Scalars), len(got.Scalars))
 	}
-	for name, w := range want.Scalars {
+	for _, name := range sortedKeys(want.Scalars) {
+		w := want.Scalars[name]
 		g, ok := got.Scalars[name]
 		if !ok {
 			return fmt.Errorf("scalar %s missing from the parallel run (sequentially %d)", name, w)

@@ -12,6 +12,14 @@
 // interpreter, in the spirit of the verified polynomial loop reasoning
 // of Humenberger et al. and de Oliveira et al. — except checked
 // dynamically on a grid, which is exactly what two interpreters buy.
+//
+// Both sides run compiled (interp.Compile): a Baseline compiles the
+// original once, and a check compiles the transformed program once and
+// replays that form at every grid point. Under ExactOrder the
+// transformed run compares each store with the original's trace as it
+// happens and stops at the first difference, building no trace of its
+// own. Scalars are compared in name order, so an error names the first
+// differing scalar, the same one on every run.
 package validate
 
 import (
@@ -91,9 +99,9 @@ func (o Options) maxSteps() int {
 // assignments under which the original exceeds the step budget are
 // skipped: there is no ground truth to compare against. Returns nil on
 // equivalence, or an error naming the first diverging assignment and
-// observation.
+// observation; of several diverging scalars, the first in name order.
 func Funcs(orig, xf *ssa.Info, opts Options) error {
-	return NewBaseline(orig, opts).Check(xf, opts.Order)
+	return NewBaseline(orig, opts).Check(interp.Compile(xf), opts.Order)
 }
 
 // keepWrites caps the store-trace entries a Baseline keeps over all its
@@ -103,15 +111,15 @@ func Funcs(orig, xf *ssa.Info, opts Options) error {
 const keepWrites = 1 << 18
 
 // Baseline is the original program's side of translation validation:
-// its outcome at each grid point — final scalars and store trace, a
-// failure, or no ground truth past the step budget — computed when a
-// check first needs it and kept for later checks. Checking every
-// rewrite of one program against one Baseline runs the unchanged
-// original once per grid point instead of once per check. The original
-// must not change while the Baseline is in use, and a Baseline is for
-// one goroutine at a time.
+// the original compiled once, and its outcome at each grid point —
+// final scalars and store trace, a failure, or no ground truth past the
+// step budget — computed when a check first needs it and kept for later
+// checks. Checking every rewrite of one program against one Baseline
+// runs the unchanged original once per grid point instead of once per
+// check. A Baseline is for one goroutine at a time; the original may
+// change once NewBaseline returns.
 type Baseline struct {
-	orig   *ssa.Info
+	orig   *interp.Program
 	names  []string
 	grid   []int64
 	steps  int
@@ -121,20 +129,16 @@ type Baseline struct {
 
 // outcome is the original's result at one grid point.
 type outcome struct {
-	done bool
-	want *interp.Result // nil with a nil err: no ground truth
-	err  error
+	done    bool
+	want    *interp.Result // nil with a nil err: no ground truth
+	scalars []string       // want's scalar names, sorted
+	err     error
 }
 
-// NewBaseline returns the Baseline of orig over opts' grid; it runs
-// nothing until a check does.
+// NewBaseline compiles orig and returns its Baseline over opts' grid;
+// it runs nothing until a check does.
 func NewBaseline(orig *ssa.Info, opts Options) *Baseline {
-	names := make([]string, 0, len(orig.Params))
-	for n := range orig.Params {
-		names = append(names, n)
-	}
-	slices.Sort(names)
-
+	names := sortedKeys(orig.Params)
 	grid := opts.grid()
 	runs := 1
 	for range names {
@@ -146,12 +150,13 @@ func NewBaseline(orig *ssa.Info, opts Options) *Baseline {
 	if runs > opts.maxRuns() {
 		runs = opts.maxRuns()
 	}
-	return &Baseline{orig: orig, names: names, grid: grid, steps: opts.maxSteps(), points: make([]outcome, runs)}
+	return &Baseline{orig: interp.Compile(orig), names: names, grid: grid, steps: opts.maxSteps(), points: make([]outcome, runs)}
 }
 
-// Check is Funcs against the Baseline's original, comparing store
-// traces under order.
-func (b *Baseline) Check(xf *ssa.Info, order TraceOrder) error {
+// Check is Funcs against the Baseline's original, for the transformed
+// program compiled once and replayed at every grid point, comparing
+// store traces under order.
+func (b *Baseline) Check(xf *interp.Program, order TraceOrder) error {
 	params := map[string]int64{}
 	for r := range b.points {
 		// Mixed-radix enumeration: run r assigns digit (r / len^i) % len
@@ -162,9 +167,10 @@ func (b *Baseline) Check(xf *ssa.Info, order TraceOrder) error {
 			params[n] = b.grid[x%len(b.grid)]
 			x /= len(b.grid)
 		}
-		want, err := b.truth(r, params)
-		if err == nil && want != nil {
-			err = compareWith(want, xf, params, b.steps, order)
+		o := b.truth(r, params)
+		err := o.err
+		if err == nil && o.want != nil {
+			err = compareWith(o, xf, params, b.steps, order)
 		}
 		if err != nil {
 			return fmt.Errorf("validate: params %v: %w", fmtParams(b.names, params), err)
@@ -175,19 +181,19 @@ func (b *Baseline) Check(xf *ssa.Info, order TraceOrder) error {
 
 // truth returns the original's outcome at grid point r, running it on
 // first use.
-func (b *Baseline) truth(r int, params map[string]int64) (*interp.Result, error) {
+func (b *Baseline) truth(r int, params map[string]int64) outcome {
 	if o := b.points[r]; o.done {
-		return o.want, o.err
+		return o
 	}
 	o := outcome{done: true}
-	want, err := interp.RunSSA(b.orig, interp.Config{Params: params, MaxSteps: b.steps})
+	want, err := b.orig.Run(interp.Config{Params: params, MaxSteps: b.steps}, interp.Hooks{})
 	switch {
 	case errors.Is(err, interp.ErrStepLimit):
 		// no ground truth under this assignment
 	case err != nil:
 		o.err = fmt.Errorf("original program failed: %w", err)
 	default:
-		o.want = want
+		o.want, o.scalars = want, sortedKeys(want.Scalars)
 	}
 	if o.want == nil || b.kept+len(o.want.Writes) <= keepWrites {
 		b.points[r] = o
@@ -195,23 +201,56 @@ func (b *Baseline) truth(r int, params map[string]int64) (*interp.Result, error)
 			b.kept += len(o.want.Writes)
 		}
 	}
-	return o.want, o.err
+	return o
 }
 
+// errDiverged stops a transformed run at its first store that differs
+// from the original's trace.
+var errDiverged = errors.New("validate: store trace diverged")
+
 // compareWith runs the transformed program under one parameter
-// assignment and compares it with the original's outcome there.
-func compareWith(want *interp.Result, xf *ssa.Info, params map[string]int64, maxSteps int, order TraceOrder) error {
+// assignment and compares it with the original's outcome there. Under
+// ExactOrder each store is compared with the original's trace as it
+// happens, and the run stops at the first difference; only then is the
+// program run again with its trace kept, so the error reads as a
+// whole-trace comparison reads.
+func compareWith(o outcome, xf *interp.Program, params map[string]int64, maxSteps int, order TraceOrder) error {
 	// The transformed program gets slack: added instructions (peeled
 	// bodies, normalization restores) must not fail validation on budget
 	// alone, while introduced non-termination still surfaces.
-	got, err := interp.RunSSA(xf, interp.Config{Params: params, MaxSteps: 4*maxSteps + 1024})
+	cfg := interp.Config{Params: params, MaxSteps: 4*maxSteps + 1024}
+	want := o.want
+	if order == ExactOrder {
+		n := 0
+		got, err := xf.Run(cfg, interp.Hooks{OnStore: func(w interp.ArrayWrite) error {
+			if n == len(want.Writes) || w != want.Writes[n] {
+				return errDiverged
+			}
+			n++
+			return nil
+		}})
+		switch {
+		case err == nil && n == len(want.Writes):
+			return compareScalars(o, got)
+		case err != nil && err != errDiverged:
+			return fmt.Errorf("transformed program failed: %w", err)
+		}
+	}
+	got, err := xf.Run(cfg, interp.Hooks{})
 	if err != nil {
 		return fmt.Errorf("transformed program failed: %w", err)
 	}
 	if err := compareWrites(want.Writes, got.Writes, order); err != nil {
 		return err
 	}
-	for name, w := range want.Scalars {
+	return compareScalars(o, got)
+}
+
+// compareScalars checks every scalar of the original's outcome against
+// the transformed run's, in name order.
+func compareScalars(o outcome, got *interp.Result) error {
+	for _, name := range o.scalars {
+		w := o.want.Scalars[name]
 		g, ok := got.Scalars[name]
 		if !ok {
 			return fmt.Errorf("scalar %s lost by the transformation (originally %d)", name, w)
@@ -221,6 +260,16 @@ func compareWith(want *interp.Result, xf *ssa.Info, params map[string]int64, max
 		}
 	}
 	return nil
+}
+
+// sortedKeys returns m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // compareWrites checks two store traces under the selected order.

@@ -6,6 +6,7 @@ import (
 
 	"beyondiv/internal/cfgbuild"
 	"beyondiv/internal/guard"
+	"beyondiv/internal/interp"
 	"beyondiv/internal/parse"
 	"beyondiv/internal/ssa"
 	"beyondiv/internal/validate"
@@ -172,7 +173,7 @@ func TestBaselineMatchesFuncs(t *testing.T) {
 					opts := c.opts
 					opts.Order = order
 					want := errString(validate.Funcs(orig, xf, opts))
-					if got := errString(b.Check(xf, order)); got != want {
+					if got := errString(b.Check(interp.Compile(xf), order)); got != want {
 						t.Errorf("%q vs %q (order %d, round %d): Baseline %s, Funcs %s",
 							c.orig, src, order, round, got, want)
 					}
@@ -188,11 +189,88 @@ func TestBaselineLongTrace(t *testing.T) {
 	src := `for i = 1 to 270000 { a[i] = i }`
 	orig := buildSSA(t, src)
 	b := validate.NewBaseline(orig, validate.Options{MaxSteps: 10_000_000})
-	if err := b.Check(buildSSA(t, src), validate.ExactOrder); err != nil {
+	if err := b.Check(interp.Compile(buildSSA(t, src)), validate.ExactOrder); err != nil {
 		t.Fatalf("identical program reported divergent: %v", err)
 	}
-	err := b.Check(buildSSA(t, `for i = 1 to 270000 { a[i] = i + 1 }`), validate.ExactOrder)
+	err := b.Check(interp.Compile(buildSSA(t, `for i = 1 to 270000 { a[i] = i + 1 }`)), validate.ExactOrder)
 	if err == nil || !strings.Contains(err.Error(), "store 0 differs") {
 		t.Fatalf("divergent store on the re-run not caught: %v", err)
 	}
+}
+
+// TestFuncsNamesFirstScalar: when several scalars differ, the error
+// names the first in name order, every time.
+func TestFuncsNamesFirstScalar(t *testing.T) {
+	orig := buildSSA(t, "a = 1\nb = 2\nc = 3\nd = 4\n")
+	xf := buildSSA(t, "a = 5\nb = 6\nc = 7\nd = 8\n")
+	texts := map[string]int{}
+	for range 50 {
+		err := validate.Funcs(orig, xf, validate.Options{})
+		if err == nil {
+			t.Fatal("changed scalars not caught")
+		}
+		texts[err.Error()]++
+	}
+	want := "validate: params {}: scalar a differs: 1 originally, 5 transformed"
+	if len(texts) != 1 || texts[want] != 50 {
+		t.Fatalf("texts %v, want only %q", texts, want)
+	}
+}
+
+// TestParallelNamesFirstScalar: Parallel names the first differing
+// scalar in name order too. Marking a reduction loop parallel loses
+// updates of both sums.
+func TestParallelNamesFirstScalar(t *testing.T) {
+	src := "b = 0\na = 0\nL1: for i = 1 to 8 {\n    b = b + i\n    a = a + i\n}\n"
+	file := parse.MustParse(src)
+	info := buildSSA(t, src)
+	texts := map[string]int{}
+	for range 50 {
+		err := validate.Parallel(info, file, map[string]bool{"L1": true}, 4, validate.Options{})
+		if err == nil {
+			t.Fatal("a parallel reduction must not validate")
+		}
+		texts[err.Error()]++
+	}
+	if len(texts) != 1 {
+		t.Fatalf("texts %v, want one", texts)
+	}
+	for text := range texts {
+		if !strings.Contains(text, "scalar a differs") {
+			t.Fatalf("text %q does not name scalar a", text)
+		}
+	}
+}
+
+// TestExactOrderErrorTexts: an ExactOrder check stops its transformed
+// run at the first differing store, yet reports what a whole-trace
+// comparison reports: a later failure of the run, or a length that
+// differs, wins over the first differing store, as it always did.
+func TestExactOrderErrorTexts(t *testing.T) {
+	orig := buildSSA(t, "a[1] = 1\na[2] = 2\n")
+	cases := []struct{ xf, want string }{
+		{"a[1] = 1\na[2] = 3\n", "store 1 differs: a[2]=2 originally, a[2]=3 transformed"},
+		{"a[1] = 1\na[2] = 2\na[3] = 3\n", "store trace length differs: 2 writes originally, 3 transformed"},
+		{"a[1] = 1\n", "store trace length differs: 2 writes originally, 1 transformed"},
+		{"a[1] = 1\na[2] = 3\na[3] = 3\n", "store trace length differs: 2 writes originally, 3 transformed"},
+		{"a[1] = 7\na[2] = 2\nloop {\n    x = x + 1\n}\n", "transformed program failed: interp: step limit exceeded"},
+		{"a[1] = 1\na[2] = 2\nx = 1\n", ""},
+	}
+	for _, c := range cases {
+		err := validate.Funcs(orig, buildSSA(t, c.xf), validate.Options{})
+		want := ""
+		if c.want != "" {
+			want = "validate: params {}: " + c.want
+		}
+		if got := errString(err); got != want {
+			t.Errorf("%q: got %q, want %q", c.xf, got, want)
+		}
+	}
+}
+
+func errString(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }

@@ -64,7 +64,7 @@ func Passes(names []string) ([]engine.TransformPass, error) {
 func passByName(name string) (engine.TransformPass, bool) {
 	switch name {
 	case "normalize":
-		return engine.TransformPass{Name: "normalize", Tier: engine.TierAST, Run: func(st *engine.State) (int, error) {
+		return engine.TransformPass{Name: "normalize", Tier: engine.TierAST, NoAnalyses: true, Run: func(st *engine.State) (int, error) {
 			_, n := NormalizeProgram(st.File)
 			chargeBudget(st, "normalize", n)
 			return n, nil
@@ -88,7 +88,7 @@ func passByName(name string) (engine.TransformPass, bool) {
 			return n, nil
 		}}, true
 	case "dce":
-		return engine.TransformPass{Name: "dce", Tier: engine.TierSSA, Run: func(st *engine.State) (int, error) {
+		return engine.TransformPass{Name: "dce", Tier: engine.TierSSA, NoAnalyses: true, Run: func(st *engine.State) (int, error) {
 			n := EliminateDeadCode(st.SSA)
 			chargeBudget(st, "dce", n)
 			return n, nil
