@@ -189,7 +189,8 @@ type Options struct {
 	// Passes names the transform pipeline Optimize runs, in order
 	// (normalize, peel, interchange, distribute, strength, dce,
 	// parmark — see xform.PassNames).
-	// Empty means the full pipeline in canonical order. Unknown names
+	// Empty means the default pipeline: every pass but normalize, in
+	// canonical order (xform.DefaultPassNames). Unknown names
 	// surface as an error from Optimize. Analyze ignores this field, and
 	// it stays out of the cache fingerprint: analysis results are shared
 	// between analyzers whatever their transform pipeline.
@@ -255,7 +256,7 @@ type Analyzer struct {
 func NewAnalyzer(opts Options) *Analyzer {
 	names := opts.Passes
 	if len(names) == 0 {
-		names = xform.PassNames()
+		names = xform.DefaultPassNames()
 	}
 	transforms, passErr := xform.Passes(names)
 	cfg := engine.Config{

@@ -5,12 +5,12 @@
 //   - the §3–§4 classification of every scalar,
 //   - §5.2 trip counts,
 //   - wrap-around variables that loop peeling would fix (§4.1),
-//   - strength-reduction candidates (§1) and, with -apply, the whole
-//     transformation pipeline — normalize, peel, interchange,
-//     distribution, strength reduction, dead-code sweep, parallel
-//     marks — run through the engine with clone-on-transform,
-//     fixed-point re-analysis and interpreter translation validation
-//     after every pass,
+//   - strength-reduction candidates (§1) and, with -apply, the
+//     transformation pipeline — peel, interchange, distribution,
+//     strength reduction, dead-code sweep, parallel marks, and
+//     normalize when -passes names it — run through the engine with
+//     clone-on-transform, fixed-point re-analysis and interpreter
+//     translation validation after every pass,
 //   - §6 dependences, parallelizability, interchange legality and
 //     distribution π-blocks for every loop pair/nest.
 //
@@ -31,10 +31,10 @@
 // across workers (0, the default, uses one per CPU, divided across the
 // -jobs workers when batching); results are identical at every width. -passes
 // selects and orders the -apply pipeline (comma-separated; default
-// "normalize,peel,interchange,distribute,strength,dce,parmark"). -stats
-// prints phase timings and pipeline counters to standard error; -trace
-// writes a Chrome trace-event file; -explain prints the provenance
-// chain that classified a variable.
+// "peel,interchange,distribute,strength,dce,parmark"; "normalize" runs
+// only when named). -stats prints phase timings and pipeline counters
+// to standard error; -trace writes a Chrome trace-event file; -explain
+// prints the provenance chain that classified a variable.
 package main
 
 import (
@@ -55,7 +55,7 @@ import (
 
 var (
 	apply      = flag.Bool("apply", false, "run the transformation pipeline and report before/after")
-	passesFlag = flag.String("passes", "", "comma-separated -apply pipeline (default: "+strings.Join(xform.PassNames(), ",")+")")
+	passesFlag = flag.String("passes", "", "comma-separated -apply pipeline (default: "+strings.Join(xform.DefaultPassNames(), ",")+"; available: "+strings.Join(xform.PassNames(), ",")+")")
 	jobs       = flag.Int("jobs", 1, "process inputs concurrently on `n` workers (0 = one per CPU)")
 	noValidate = flag.Bool("no-validate", false, "skip interpreter translation validation of -apply rewrites")
 	tel        cliutil.Telemetry

@@ -18,7 +18,9 @@ const reusedCounter = "depend.verdict.reused"
 
 // optimizer is the engine behind the facade's Analyzer.Optimize: the
 // frontend, the classifier and the dependence pass, then every
-// transform, with translation validation on.
+// registered transform by name, with translation validation on. That
+// includes normalize, which the default pipeline leaves out, so the
+// re-analysis after a normalize rewrite stays covered (DESIGN.md §17).
 func optimizer(t *testing.T, width int, rec *obs.Recorder) *engine.Engine {
 	t.Helper()
 	transforms, err := xform.Passes(xform.PassNames())

@@ -11,8 +11,8 @@ import (
 
 // This file packages the transformations as engine.TransformPass values
 // so the engine's Optimize pipeline can run them with clone-on-transform,
-// re-analysis, verification and translation validation. The pass names
-// (in canonical order) are:
+// re-analysis, verification and translation validation. The registered
+// pass names (in canonical order) are:
 //
 //	normalize    AST   §6.1 loop normalization (index from 0, step 1)
 //	peel         AST   §4.1 first-iteration peeling, classification-driven:
@@ -33,15 +33,29 @@ import (
 // AST-tier passes precede SSA-tier ones so a round never discards SSA
 // rewrites, and mark-tier passes come last so annotations always describe
 // the final loop structure (see engine.Tier).
+//
+// The default pipeline is every pass but normalize. The classifier
+// writes each subscript over its loop's basic iteration counter, which
+// normalizes the loop already (§6.1), so a normalize rewrite buys no
+// dependence precision. It costs a full re-analysis, and its preamble
+// assignment couples every use of the counter into one π-block, which
+// keeps distribute from splitting the loop.
 
-// PassNames returns the canonical pipeline order.
+// PassNames returns every registered pass in canonical order: the
+// vocabulary Passes resolves, not the default pipeline.
 func PassNames() []string {
 	return []string{"normalize", "peel", "interchange", "distribute", "strength", "dce", "parmark"}
 }
 
-// DefaultPasses returns the full pipeline in canonical order.
+// DefaultPassNames returns the default pipeline: PassNames without
+// normalize, which stays selectable by name.
+func DefaultPassNames() []string {
+	return []string{"peel", "interchange", "distribute", "strength", "dce", "parmark"}
+}
+
+// DefaultPasses returns the default pipeline (DefaultPassNames).
 func DefaultPasses() []engine.TransformPass {
-	ps, _ := Passes(PassNames())
+	ps, _ := Passes(DefaultPassNames())
 	return ps
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -15,9 +16,21 @@ import (
 	"beyondiv/internal/progen"
 )
 
-// digestTable holds one line per program: its name and the SHA-256 of
-// what default Optimize produced for it.
-const digestTable = "testdata/optimize_digests.txt"
+// sevenPasses is every registered pass, normalize included, spelled
+// out so the seven-pass table does not move with the vocabulary.
+var sevenPasses = []string{"normalize", "peel", "interchange", "distribute", "strength", "dce", "parmark"}
+
+// digestTables hold one line per program: its name and the SHA-256 of
+// what Optimize produced for it under the table's pipeline (nil: the
+// default). The seven-pass table keeps normalize, which the default
+// leaves out, pinned.
+var digestTables = []struct {
+	name, path string
+	passes     []string
+}{
+	{"seven", "testdata/optimize_digests.txt", sevenPasses},
+	{"default", "testdata/optimize_digests_default.txt", nil},
+}
 
 // digestPrograms are the pinned programs, by name: the paper corpus,
 // the examples, and two of the benchmark's DepWorkload ranges.
@@ -42,8 +55,8 @@ func digestPrograms(t *testing.T) (names, srcs []string) {
 	return names, srcs
 }
 
-// optimizeDigest hashes every field of a default Optimize that a
-// transform could move: the pass outcome, the transformed SSA, both
+// optimizeDigest hashes every field of an Optimize that a transform
+// could move: the pass outcome, the transformed SSA, both
 // reports and every dependence's explanation.
 func optimizeDigest(res *beyondiv.OptimizeResult) string {
 	h := sha256.New()
@@ -56,15 +69,40 @@ func optimizeDigest(res *beyondiv.OptimizeResult) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// TestOptimizeDigests pins what default Optimize produces. The
-// equivalence matrix compares paths with each other, so a change that
-// moves every path alike passes it; this table fails it. A change that
-// means to move results replaces the lines the failure prints.
+// TestOptimizeDigests pins what Optimize produces under each table's
+// pipeline. The equivalence matrix compares paths with each other, so a
+// change that moves every path alike passes it; these tables fail it. A
+// change that means to move results replaces the lines the failure
+// prints.
 func TestOptimizeDigests(t *testing.T) {
 	if beyondiv.RaceEnabled {
 		t.Skip("hundreds of validated optimizations; the race build adds nothing to a digest")
 	}
-	f, err := os.Open(digestTable)
+	names, srcs := digestPrograms(t)
+	for _, tab := range digestTables {
+		t.Run(tab.name, func(t *testing.T) {
+			want := readDigests(t, tab.path)
+			if len(want) != len(names) {
+				t.Errorf("%s has %d programs, the test %d", tab.path, len(want), len(names))
+			}
+			an := beyondiv.NewAnalyzer(beyondiv.Options{Passes: tab.passes})
+			for i, src := range srcs {
+				res, err := an.Optimize(src)
+				if err != nil {
+					t.Errorf("%s: %v", names[i], err)
+					continue
+				}
+				if got := optimizeDigest(res); got != want[names[i]] {
+					t.Errorf("%s: digest moved; the table's line would be\n%s %s", names[i], names[i], got)
+				}
+			}
+		})
+	}
+}
+
+// readDigests reads a digest table into a map from program name to sum.
+func readDigests(t *testing.T, path string) map[string]string {
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,20 +117,53 @@ func TestOptimizeDigests(t *testing.T) {
 	if err := sc.Err(); err != nil {
 		t.Fatal(err)
 	}
+	return want
+}
 
+// TestOptimizeNormalizationInvariance is E23 over the whole Optimize:
+// on the digest programs, every loop the seven-pass pipeline marks
+// parallel that holds a store is marked by the default pipeline too,
+// and the default marks no loop that holds no store. With normalize,
+// distribute splits off loops that only recompute the index its
+// preamble introduced, and parmark marks those.
+func TestOptimizeNormalizationInvariance(t *testing.T) {
+	if beyondiv.RaceEnabled {
+		t.Skip("hundreds of validated optimizations; the race build adds nothing to a mark")
+	}
 	names, srcs := digestPrograms(t)
-	if len(want) != len(names) {
-		t.Errorf("%s has %d programs, the test %d", digestTable, len(want), len(names))
-	}
-	an := beyondiv.NewAnalyzer(beyondiv.Options{})
+	seven := beyondiv.NewAnalyzer(beyondiv.Options{Passes: sevenPasses})
+	def := beyondiv.NewAnalyzer(beyondiv.Options{})
+	var sevenStore, sevenBare, defStore int
 	for i, src := range srcs {
-		res, err := an.Optimize(src)
+		withNorm, err := seven.Optimize(src)
 		if err != nil {
-			t.Errorf("%s: %v", names[i], err)
-			continue
+			t.Fatalf("%s: seven passes: %v", names[i], err)
 		}
-		if got := optimizeDigest(res); got != want[names[i]] {
-			t.Errorf("%s: digest moved; the table's line would be\n%s %s", names[i], names[i], got)
+		res, err := def.Optimize(src)
+		if err != nil {
+			t.Fatalf("%s: default: %v", names[i], err)
+		}
+		stores := beyondiv.StoredArrays(withNorm.Program)
+		for _, l := range withNorm.ParallelLoops {
+			if len(stores[l]) == 0 {
+				sevenBare++
+				continue
+			}
+			sevenStore++
+			if !slices.Contains(res.ParallelLoops, l) {
+				t.Errorf("%s: the seven passes mark %s, which holds a store; the default marks %v",
+					names[i], l, res.ParallelLoops)
+			}
+		}
+		stores = beyondiv.StoredArrays(res.Program)
+		for _, l := range res.ParallelLoops {
+			if len(stores[l]) == 0 {
+				t.Errorf("%s: the default marks %s, which holds no store", names[i], l)
+				continue
+			}
+			defStore++
 		}
 	}
+	t.Logf("parallel loops holding a store: seven passes %d, default %d; holding none: seven passes %d",
+		sevenStore, defStore, sevenBare)
 }

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"beyondiv/internal/ir"
 	"beyondiv/internal/obs"
 )
 
@@ -20,6 +21,22 @@ func passRewrites(r *OptimizeResult, name string) int {
 		}
 	}
 	return n
+}
+
+// storedArrays maps each of p's loops, by label, to the arrays its
+// body stores to (nested loops included), in block order.
+func storedArrays(p *Program) map[string][]string {
+	out := map[string][]string{}
+	for _, l := range p.Loops.Loops {
+		for _, b := range l.Blocks {
+			for _, v := range b.Values {
+				if v.Op == ir.OpStoreElem {
+					out[l.Label] = append(out[l.Label], v.Var)
+				}
+			}
+		}
+	}
+	return out
 }
 
 // benchRelaxation scales examples/relaxation: sweeps ping-pong between
@@ -183,31 +200,41 @@ L1: for i = 0 to 9 {
 
 func TestDistributeSplitsAlongPiBlocks(t *testing.T) {
 	// One loop, two π-blocks: the b recurrence must stay a loop; the
-	// independent a updates split off and parallelize. (0-based so
-	// normalize leaves the body flat: a normalization preamble assign
-	// couples every counter use into one block — sound, just inert.)
-	r, err := Optimize(`
+	// independent a updates split off and parallelize. The 1-based
+	// spelling pins that the default pipeline does not normalize:
+	// normalize's preamble assignment would recompute i from the new
+	// counter and couple every use of i into one π-block.
+	for _, src := range []string{`
 L1: for i = 0 to 50 {
     a[i] = a[i] + 1
     b[i + 1] = b[i] + 1
 }
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if passRewrites(r, "distribute") == 0 {
-		t.Fatalf("distribute did not split; stats %+v", r.Stats)
-	}
-	var labels []string
-	for _, l := range r.Program.Loops.Loops {
-		labels = append(labels, l.Label)
-	}
-	if len(labels) != 2 {
-		t.Fatalf("transformed program has loops %v, want the split pair", labels)
-	}
-	// The split singleton holding only the a-updates is parallel.
-	if len(r.ParallelLoops) != 1 {
-		t.Errorf("parallel loops = %v, want exactly the a-block", r.ParallelLoops)
+`, `
+L1: for i = 1 to 51 {
+    a[i] = a[i] + 1
+    b[i + 1] = b[i] + 1
+}
+`} {
+		r, err := Optimize(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if passRewrites(r, "distribute") == 0 {
+			t.Errorf("distribute did not split; stats %+v\n%s", r.Stats, src)
+			continue
+		}
+		var labels []string
+		for _, l := range r.Program.Loops.Loops {
+			labels = append(labels, l.Label)
+		}
+		if len(labels) != 2 {
+			t.Errorf("transformed program has loops %v, want the split pair\n%s", labels, src)
+			continue
+		}
+		// The split singleton holding only the a-updates is parallel.
+		if len(r.ParallelLoops) != 1 || !slices.Equal(storedArrays(r.Program)[r.ParallelLoops[0]], []string{"a"}) {
+			t.Errorf("parallel loops = %v, want exactly the a-block\n%s", r.ParallelLoops, src)
+		}
 	}
 }
 

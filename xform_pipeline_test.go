@@ -16,9 +16,10 @@ import (
 	"beyondiv/internal/xform"
 )
 
-// optSrc has work for every default pass: a non-normal loop bound, a
-// wrap-around scalar (m), a strength-reduction candidate (3*i), and the
-// dead values the rewrites leave behind.
+// optSrc has work for the scalar passes: a non-normal loop bound (for
+// normalize, when named), a wrap-around scalar (m), a
+// strength-reduction candidate (3*i), and the dead values the rewrites
+// leave behind.
 const optSrc = `
 j = 0
 m = 100
@@ -122,7 +123,8 @@ func TestOptimizeCorpusDifferential(t *testing.T) {
 	)
 
 	pipelines := [][]string{
-		nil, // canonical full pipeline
+		nil,               // default pipeline
+		xform.PassNames(), // every registered pass, normalize included
 		{"normalize"},
 		{"peel"},
 		{"strength"},
@@ -159,7 +161,8 @@ func TestOptimizeCorpusDifferential(t *testing.T) {
 
 // TestOptimizeUnknownPass: a typo in Options.Passes surfaces from every
 // Optimize entry point, naming the vocabulary, and poisons the whole
-// batch rather than one item.
+// batch rather than one item. Every registered pass resolves by name
+// and is listed, normalize included, though the default leaves it out.
 func TestOptimizeUnknownPass(t *testing.T) {
 	_, err := OptimizeWith(optSrc, Options{Passes: []string{"strengt"}})
 	if err == nil || !strings.Contains(err.Error(), "strengt") {
@@ -169,6 +172,12 @@ func TestOptimizeUnknownPass(t *testing.T) {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error does not list available pass %q: %v", name, err)
 		}
+		if _, err := OptimizeWith(optSrc, Options{Passes: []string{name}}); err != nil {
+			t.Errorf("registered pass %q does not resolve: %v", name, err)
+		}
+	}
+	if res, err := OptimizeWith(optSrc, Options{Passes: []string{"normalize"}}); err != nil || passRewrites(res, "normalize") != 1 {
+		t.Errorf("normalize by name did not rewrite optSrc's loop: %v", err)
 	}
 	// strength does what ivsub did; the name is gone with the pass.
 	if _, err := OptimizeWith(optSrc, Options{Passes: []string{"ivsub"}}); err == nil ||
