@@ -223,33 +223,6 @@ func TestBatchFailureIsolation(t *testing.T) {
 	}
 }
 
-// TestBatchSharedBudget: a shared step pool bounds the whole batch's
-// work — a tiny pool fails sources with a "shared step pool" limit
-// error, a generous one lets the same batch through.
-func TestBatchSharedBudget(t *testing.T) {
-	srcs := batchCorpus(t)[:8]
-	starved := AnalyzeBatch(srcs, Options{Jobs: 4, BatchSteps: 1})
-	failed := 0
-	for _, r := range starved {
-		if r.Err == nil {
-			continue
-		}
-		failed++
-		var le *guard.LimitError
-		if !errors.As(r.Err, &le) || le.Resource != "shared step pool" {
-			t.Errorf("starved batch error = %v, want shared step pool limit", r.Err)
-		}
-	}
-	if failed == 0 {
-		t.Fatal("a 1-step shared pool failed no sources")
-	}
-	for i, r := range AnalyzeBatch(srcs, Options{Jobs: 4, BatchSteps: 1 << 30}) {
-		if r.Err != nil {
-			t.Errorf("generous pool: source %d failed: %v", i, r.Err)
-		}
-	}
-}
-
 // TestAnalyzeBatchEmptyAndSingle: degenerate batch sizes behave.
 func TestAnalyzeBatchEmptyAndSingle(t *testing.T) {
 	if got := AnalyzeBatch(nil, Options{Jobs: 4}); len(got) != 0 {

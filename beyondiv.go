@@ -96,10 +96,10 @@ type Options struct {
 	IV iv.Options
 	// Obs, when non-nil, records phase spans, counters and provenance
 	// events across every pipeline stage (see internal/obs). Nil keeps
-	// telemetry off at no cost. Concurrent runs sharing one recorder
-	// interleave their spans in its tree; batch workers record into
-	// forks of this recorder instead, merged back when the batch
-	// completes.
+	// telemetry off at no cost. Each analysis or optimization records
+	// into a fork of this recorder, merged back when it returns, so
+	// runs sharing the recorder keep their span trees apart; batch
+	// workers fork it too, merged back when the batch completes.
 	Obs *obs.Recorder
 	// Metrics, when non-nil, receives the process-lifetime aggregates
 	// the engine emits on every run: per-phase latency and allocation
@@ -159,11 +159,12 @@ type Options struct {
 	// uncached.
 	//
 	// Writes land in the background: a cold run hands its analyzed
-	// program to the analyzer's writer and returns, the writer renders
-	// and encodes the entry and writes it with its alias, and the
-	// analyzer's own reads see them at once. Call Analyzer.Flush before
-	// the process exits and before another analyzer or process reads
-	// the directory (AnalyzeWith, AnalyzeBatch, OptimizeWith and
+	// program to the analyzer's writer and returns, and the writer
+	// renders and encodes the entry and writes it with its alias. Reads
+	// see a write once it is on disk; until then a repeat of the source
+	// is analyzed afresh, to the same result. Call Analyzer.Flush before
+	// the process exits and before this or another analyzer or process
+	// reads what it wrote (AnalyzeWith, AnalyzeBatch, OptimizeWith and
 	// OptimizeBatch flush before returning; bivd's drain flushes).
 	// Until the write is on disk the writer reads the returned Program:
 	// a caller that mutates an analyzed Program in place must analyze
@@ -180,11 +181,6 @@ type Options struct {
 	// (so a decoded artifact could not serve them) but want their work
 	// to warm the store for readers that can use it.
 	CacheDirWriteOnly bool
-	// BatchSteps, when positive, is a shared guard budget for each
-	// AnalyzeAll/AnalyzeBatch call: every phase step of every source
-	// in the batch draws from one pool of this size, on top of the
-	// per-source Limits.
-	BatchSteps int64
 
 	// Passes names the transform pipeline Optimize runs, in order
 	// (normalize, peel, interchange, distribute, strength, dce,
@@ -269,7 +265,6 @@ func NewAnalyzer(opts Options) *Analyzer {
 		Parallel:       opts.Parallel,
 		CacheEntries:   opts.CacheEntries,
 		Fingerprint:    opts.Fingerprint(),
-		BatchSteps:     opts.BatchSteps,
 		Transforms:     transforms,
 		SkipValidation: opts.SkipValidation,
 	}
@@ -302,9 +297,9 @@ func NewAnalyzer(opts Options) *Analyzer {
 // Flush waits until every disk-store write the analyzer has handed off
 // is on disk. With a CacheDir, a cold run's artifact is built and
 // written in the background; call Flush before the process exits,
-// before another analyzer or process reads the directory, and before
-// mutating a Program the analyzer returned. Without a CacheDir it
-// returns at once.
+// before this or another analyzer or process reads what it wrote, and
+// before mutating a Program the analyzer returned. Without a CacheDir
+// it returns at once.
 func (a *Analyzer) Flush() { a.eng.Flush() }
 
 // Analyze parses and analyzes one program.

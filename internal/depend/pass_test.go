@@ -33,12 +33,11 @@ L1: for i = 1 to 10 {
 	defer cancel()
 	fired := 0
 	eng := engine.New(engine.Config{
-		Passes:     append(iv.Passes(iv.Options{}), Pass(Options{})),
-		Obs:        rec,
-		Limits:     guard.Limits{Inject: func(string) { fired++ }},
-		BatchSteps: 1 << 40,
-		Jobs:       1,
-		Parallel:   2,
+		Passes:   append(iv.Passes(iv.Options{}), Pass(Options{})),
+		Obs:      rec,
+		Limits:   guard.Limits{Inject: func(string) { fired++ }, Pool: guard.NewPool(1 << 40)},
+		Jobs:     1,
+		Parallel: 2,
 	})
 	item := eng.AnalyzeAllContext(ctx, []string{src})[0]
 	if item.Err != nil {

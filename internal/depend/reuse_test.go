@@ -108,12 +108,14 @@ func TestReuseMatchesFresh(t *testing.T) {
 				t.Fatalf("width %d, source %d: optimized result differs from a fresh analysis: %s\n%s", width, i, diff, src)
 			}
 
-			before = rec.Counter(reusedCounter)
+			// The rerun counts into the state's own recorder: the fork
+			// its Optimize recorded into, absorbed into rec already.
+			before = st.Obs().Counter(reusedCounter)
 			if err := depend.Pass(depend.Options{}).Run(st); err != nil {
 				t.Fatal(err)
 			}
 			again := depend.ResultOf(st)
-			hits := rec.Counter(reusedCounter) - before
+			hits := st.Obs().Counter(reusedCounter) - before
 			solved, total := depend.SolvedAfresh(again, last)
 			if solved != 0 || hits < int64(total) {
 				t.Fatalf("width %d, source %d: rerun solved %d of %d verdicts afresh, reused %d", width, i, solved, total, hits)

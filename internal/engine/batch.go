@@ -31,8 +31,7 @@ type Item struct {
 // recorder under a "worker N" span; forks merge back in worker order
 // once the batch is done, so counters aggregate exactly and no span
 // tree is ever written concurrently. Guarding: every source runs under
-// the engine's per-source limits, plus — when Config.BatchSteps is set
-// — a pool of steps shared by the whole batch.
+// the engine's per-source limits.
 func (e *Engine) AnalyzeAll(sources []string) []Item {
 	return e.AnalyzeAllContext(context.Background(), sources)
 }
@@ -85,14 +84,14 @@ func (e *Engine) batchPar(n int) int {
 
 // fanOut runs n indexed work items over the engine's bounded worker
 // pool, the shared core of AnalyzeAll and OptimizeAll: one span named
-// phase, the engine's limits plus the batch's shared step pool (whose
-// state it publishes as gauges when done), and the batch counters. The
-// inline single-worker path keeps the configured recorder and span
-// shape, the concurrent path forks one recorder per worker and absorbs
-// them back in worker order. A cancelled ctx stops the dispatcher;
-// every index that was never handed to a worker is reported through
-// cancelled (with a batch-attributed *guard.CancelError) instead of
-// work, so callers always produce one result per input.
+// phase, the engine's limits under the batch's context, and the batch
+// counters. The inline single-worker path keeps the configured
+// recorder and span shape, the concurrent path forks one recorder per
+// worker and absorbs them back in worker order. A cancelled ctx stops
+// the dispatcher; every index that was never handed to a worker is
+// reported through cancelled (with a batch-attributed
+// *guard.CancelError) instead of work, so callers always produce one
+// result per input.
 func (e *Engine) fanOut(ctx context.Context, phase string, n int,
 	work func(i int, wrec *obs.Recorder, lim guard.Limits), cancelled func(i int, ce *guard.CancelError)) {
 	rec := e.cfg.Obs
@@ -100,14 +99,7 @@ func (e *Engine) fanOut(ctx context.Context, phase string, n int,
 	defer span.End()
 	s := sink{rec: rec, reg: e.cfg.Metrics}
 	lim := e.cfg.Limits
-	lim.Pool = guard.NewPool(e.cfg.BatchSteps)
 	lim.Ctx = ctx
-	if pool := lim.Pool; pool != nil && s.reg != nil {
-		defer func() {
-			s.SetGauge("guard.pool.limit", pool.Limit())
-			s.SetGauge("guard.pool.remaining", pool.Remaining())
-		}()
-	}
 	jobs := e.cfg.Jobs
 	if jobs <= 0 {
 		jobs = runtime.GOMAXPROCS(0)

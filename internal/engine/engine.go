@@ -21,8 +21,7 @@
 //
 //   - AnalyzeAll: a bounded worker pool fanning a batch of sources out
 //     concurrently, with per-worker forked obs recorders merged back
-//     deterministically and an optional shared guard step pool so the
-//     batch as a whole has a work ceiling;
+//     deterministically;
 //   - a content-addressed result cache (cache.go): a private LRU keyed
 //     by source hash, so repeated analysis of hot sources is a hash and
 //     a map hit.
@@ -176,8 +175,9 @@ type Config struct {
 	// engine.Frontend() plus the contributed analysis passes.
 	Passes []Pass
 	// Obs, when non-nil, records phase spans, counters and provenance
-	// for every run. Concurrent runs sharing it interleave their spans
-	// in its tree; batch workers record into forks merged back.
+	// for every run. Each Analyze or Optimize call records into a fork
+	// absorbed when it returns, so concurrent runs keep their span
+	// trees apart; batch workers record into forks merged back.
 	Obs *obs.Recorder
 	// Metrics, when non-nil, receives the process-lifetime aggregates:
 	// per-phase latency and allocation histograms, cache
@@ -214,10 +214,6 @@ type Config struct {
 	// into every disk-store key together with the limits and pass
 	// names.
 	Fingerprint string
-	// BatchSteps, when positive, is a shared guard budget for one
-	// AnalyzeAll call: every phase step of every source draws from
-	// this pool on top of the per-phase budgets.
-	BatchSteps int64
 	// Store, when non-nil, is the persistent second tier under the
 	// in-memory cache: a disk-backed content-addressed store shared
 	// across processes. Lookups try an alias record keyed by the exact
@@ -228,9 +224,10 @@ type Config struct {
 	// blob is deleted and the source re-analyzed. Writes land in the
 	// background, in order: a cold run hands its returned State to the
 	// engine's writer, which builds the blob (BuildArtifact) and writes
-	// it. The engine reads its own pending writes, building a pending
-	// blob on demand, and Flush waits for them to reach the disk. A
-	// caller must not mutate a returned State before Flush.
+	// it, and Flush waits for them to reach the disk. Reads go to the
+	// disk alone, so a write is visible once it lands; until then a
+	// repeat of the source misses and is analyzed afresh, to the same
+	// result. A caller must not mutate a returned State before Flush.
 	Store *store.Store
 	// BuildArtifact serializes a fresh successful state into a codec
 	// blob for the disk store. The engine cannot build it itself — the
@@ -239,13 +236,13 @@ type Config struct {
 	// It receives the structural hash and name table the engine
 	// computed after parse, so a write never hashes the program again.
 	// It runs once per write, after the run has returned the state:
-	// on the writer goroutine, on a reader's that needs the pending
-	// blob, or on the cold run's own when maxUnbuilt writes already
-	// wait for the writer. The state is detached from its run by then
-	// (no recorder, limits or arena) and may be read concurrently by
-	// other goroutines, so the hook only reads it. A nil hook makes the
-	// store read-only; an error return drops the write, and a panic
-	// drops it too and counts engine.store.fault.
+	// on the writer goroutine, or on the cold run's own when
+	// maxUnbuilt writes already wait for the writer. The state is
+	// detached from its run by then (no recorder, limits or arena) and
+	// may be read concurrently by other goroutines, so the hook only
+	// reads it. A nil hook makes the store read-only; an error return
+	// drops the write, and a panic drops it too and counts
+	// engine.store.fault.
 	BuildArtifact func(st *State, structSum [32]byte, names []string) ([]byte, error)
 	// StoreWriteOnly disables disk *reads* while keeping writes: set by
 	// callers whose consumers need the live object graphs (SSA dumps,
@@ -340,7 +337,7 @@ func (e *Engine) AnalyzeContext(ctx context.Context, source string) (*State, err
 func (e *Engine) analyze(source string, rec *obs.Recorder, lim guard.Limits, par int, needLive bool) (_ *State, err error) {
 	r := e.open(rec, "analyze")
 	r.source = source
-	defer r.span.End()
+	defer r.close()
 	defer func() { r.analyzed(err) }()
 
 	var key cacheKey
@@ -432,8 +429,8 @@ func (e *Engine) analyze(source string, rec *obs.Recorder, lim guard.Limits, par
 }
 
 // remember detaches a successful run's state from the run — its
-// recorder, its limits (request context, inject hook, batch step pool)
-// and its arena — and puts it in the memory cache, when there is one,
+// recorder, its limits (request context, inject hook, step pool) and
+// its arena — and puts it in the memory cache, when there is one,
 // counting the entries that makes it evict. A later hit shares the
 // state with requests that are not this run.
 func (e *Engine) remember(s sink, key cacheKey, st *State) {

@@ -108,24 +108,22 @@ func (in *instr) pass(name string, d time.Duration) { in.phase[name].Observe(d.N
 
 // allocs feeds the per-phase allocation histograms from a finished
 // analyze span's children, whose memstats reads the recorder already
-// paid for (a nil span: no recorder, nothing to feed). Concurrent runs
-// may share the recorder, so the children are read under its lock.
+// paid for (a nil span: no recorder, nothing to feed). The span is in
+// the run's own fork, which nothing else records into.
 func (in *instr) allocs(span *obs.Span) {
-	if in.reg == nil {
+	if in.reg == nil || span == nil {
 		return
 	}
-	span.Read(func(s *obs.Span) {
-		for _, c := range s.Children {
-			if c.Allocs == 0 {
-				continue
-			}
-			if h, ok := in.alloc[c.Name]; ok {
-				h.Observe(int64(c.Allocs))
-				continue
-			}
-			in.reg.Observe("phase."+c.Name+".allocs", int64(c.Allocs))
+	for _, c := range span.Children {
+		if c.Allocs == 0 {
+			continue
 		}
-	})
+		if h, ok := in.alloc[c.Name]; ok {
+			h.Observe(int64(c.Allocs))
+			continue
+		}
+		in.reg.Observe("phase."+c.Name+".allocs", int64(c.Allocs))
+	}
 }
 
 // run is an Analyze or Optimize call, or one optimizer phase, on both
@@ -136,20 +134,38 @@ type run struct {
 	in     *instr
 	name   string
 	span   *obs.Span
+	parent *obs.Recorder // the caller's recorder a call's fork goes back into
 	start  time.Time
 	mark   time.Duration // the chained pass clock: age at the last pass boundary
 	source string        // for the flight record
 	cached bool          // answered by the memory cache or the disk store
 }
 
-// open starts a run named name on rec: its span, and its clock when a
-// registry or flight recorder will read it.
+// open starts an Analyze or Optimize call named name. The call records
+// into a fork of rec that nothing else writes, so runs sharing rec keep
+// their span trees apart; close absorbs the fork into rec.
 func (e *Engine) open(rec *obs.Recorder, name string) run {
+	r := e.phase(rec.ForkRun(), name)
+	r.parent = rec
+	return r
+}
+
+// phase starts an optimizer phase named name on its run's recorder:
+// its span, and its clock when a registry or flight recorder will read
+// it.
+func (e *Engine) phase(rec *obs.Recorder, name string) run {
 	r := run{sink: sink{rec: rec, reg: e.cfg.Metrics}, in: e.ins, name: name, span: rec.Phase(name)}
 	if r.in != nil {
 		r.start = time.Now()
 	}
 	return r
+}
+
+// close ends a call opened by open: its span, then its fork, absorbed
+// into the caller's recorder.
+func (r run) close() {
+	r.span.End()
+	r.parent.Absorb(r.rec)
 }
 
 // End closes an optimizer phase: its span, and its latency as
@@ -200,15 +216,17 @@ func (r run) optimized(err error) {
 }
 
 // record captures the run in the flight recorder: its duration, a
-// source preview, the condensed span tree when a recorder was on (read
-// under the recorder's lock, as concurrent runs may share it), and
-// a failure's error, phase and (for a contained panic) stack.
+// source preview, the condensed span tree of the run's fork when a
+// recorder was on, and a failure's error, phase and (for a contained
+// panic) stack.
 func (r run) record(d time.Duration, err error) {
 	if r.in.fl == nil {
 		return
 	}
 	fr := metrics.Run{Start: r.start, DurUS: d.Microseconds(), Source: r.source, Bytes: len(r.source), Cached: r.cached}
-	r.span.Read(func(s *obs.Span) { fr.Spans = metrics.Condense(s.Children, 4) })
+	if r.span != nil {
+		fr.Spans = metrics.Condense(r.span.Children, 4)
+	}
 	if err != nil {
 		fr.Err = err.Error()
 		var ee *Error

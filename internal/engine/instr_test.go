@@ -57,13 +57,34 @@ func TestMetricsFedByAnalyze(t *testing.T) {
 	}
 }
 
-// TestSharedRecorderConcurrentRuns: runs may share one recorder. Their
-// spans interleave in its tree, so every read the engine makes of that
-// tree (the flight record's condensed spans, the per-phase allocation
-// histograms) holds the recorder's lock; -race checks that it does.
+// TestSharedRecorderConcurrentRuns: runs may share one recorder. Each
+// run records into a fork of its own, so every flight record holds only
+// its own run's spans, shaped as a lone run's are, and each run
+// observes its parse allocations once; -race checks that nothing reads
+// a tree another run writes.
 func TestSharedRecorderConcurrentRuns(t *testing.T) {
-	fl := metrics.NewFlight(256, 4)
-	e := frontend(engine.Config{Obs: obs.New(), Metrics: metrics.NewRegistry(), Flight: fl})
+	shape := func(r metrics.Run) string {
+		var b strings.Builder
+		var walk func(ns []metrics.SpanNode)
+		walk = func(ns []metrics.SpanNode) {
+			for _, n := range ns {
+				b.WriteString(n.Name + "(")
+				walk(n.Kids)
+				b.WriteString(")")
+			}
+		}
+		walk(r.Spans)
+		return b.String()
+	}
+	lone := metrics.NewFlight(1, 1)
+	if _, err := frontend(engine.Config{Obs: obs.New(), Flight: lone}).Analyze(src); err != nil {
+		t.Fatal(err)
+	}
+	recent, _ := lone.Snapshot()
+	want := shape(recent[0])
+
+	fl, reg := metrics.NewFlight(256, 4), metrics.NewRegistry()
+	e := frontend(engine.Config{Obs: obs.New(), Metrics: reg, Flight: fl})
 	var wg sync.WaitGroup
 	for range 4 {
 		wg.Add(1)
@@ -78,8 +99,23 @@ func TestSharedRecorderConcurrentRuns(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if recent, failed := fl.Snapshot(); len(recent) != 256 || len(failed) != 0 {
+	recent, failed := fl.Snapshot()
+	if len(recent) != 256 || len(failed) != 0 {
 		t.Errorf("flight = %d recent / %d failed, want 256/0", len(recent), len(failed))
+	}
+	mixed := 0
+	for _, r := range recent {
+		if got := shape(r); got != want {
+			if mixed++; mixed == 1 {
+				t.Errorf("a flight record holds spans\n%s\nnot a lone run's\n%s", got, want)
+			}
+		}
+	}
+	if mixed > 0 {
+		t.Errorf("%d of %d flight records hold other runs' spans", mixed, len(recent))
+	}
+	if n := reg.Hist("phase.parse.allocs").Count(); n != 256 {
+		t.Errorf("phase.parse.allocs has %d observations for 256 runs", n)
 	}
 }
 
@@ -145,14 +181,12 @@ func TestMetricsFaultAttribution(t *testing.T) {
 	}
 }
 
-// TestMetricsBatchAndPool: AnalyzeAll publishes fan-out counters and
-// the shared-pool gauges, and concurrent workers feed one registry
+// TestMetricsBatchAndPool: AnalyzeAll publishes its worker pool's
+// fan-out counters and gauge, and concurrent workers feed one registry
 // without losing observations.
 func TestMetricsBatchAndPool(t *testing.T) {
 	reg := metrics.NewRegistry()
-	e := frontend(engine.Config{
-		Obs: obs.New(), Metrics: reg, Jobs: 4, BatchSteps: 1 << 20,
-	})
+	e := frontend(engine.Config{Obs: obs.New(), Metrics: reg, Jobs: 4})
 	sources := make([]string, 8)
 	for i := range sources {
 		sources[i] = src
@@ -171,10 +205,6 @@ func TestMetricsBatchAndPool(t *testing.T) {
 	}
 	if reg.Hist("phase.analyze").Count() != 8 {
 		t.Errorf("phase.analyze count = %d, want 8", reg.Hist("phase.analyze").Count())
-	}
-	limit, remaining := reg.Gauge("guard.pool.limit"), reg.Gauge("guard.pool.remaining")
-	if limit != 1<<20 || remaining <= 0 || remaining >= limit {
-		t.Errorf("pool gauges limit=%d remaining=%d", limit, remaining)
 	}
 }
 

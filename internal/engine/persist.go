@@ -48,7 +48,7 @@ func (e *Engine) entryKey(structSum [32]byte) [32]byte {
 // corrupt blob on the way is counted, deleted and treated as a miss.
 func (e *Engine) aliasGet(source string, s sink) *codec.Artifact {
 	ak := e.aliasKey(source)
-	data, ok := e.get(ak)
+	data, ok := e.cfg.Store.Get(ak)
 	if !ok {
 		return nil
 	}
@@ -67,7 +67,7 @@ func (e *Engine) aliasGet(source string, s sink) *codec.Artifact {
 // violation) is kept for its own sources and reported as a miss.
 func (e *Engine) entryGet(structSum [32]byte, names []string, s sink, kind string) *codec.Artifact {
 	ek := e.entryKey(structSum)
-	data, ok := e.get(ek)
+	data, ok := e.cfg.Store.Get(ek)
 	if !ok {
 		return nil
 	}
@@ -83,15 +83,6 @@ func (e *Engine) entryGet(structSum [32]byte, names []string, s sink, kind strin
 	return art
 }
 
-// get reads one blob: a record handed to the writer and not yet on
-// disk answers first, so an engine always reads its own writes.
-func (e *Engine) get(key [32]byte) ([]byte, bool) {
-	if data, ok := e.w.get(key); ok {
-		return data, true
-	}
-	return e.cfg.Store.Get(key)
-}
-
 // discard deletes a blob that failed to decode and counts it.
 func (e *Engine) discard(s sink, key [32]byte) {
 	e.cfg.Store.Delete(key)
@@ -100,12 +91,11 @@ func (e *Engine) discard(s sink, key [32]byte) {
 
 // diskWrite hands a fresh successful run to the writer: the alias for
 // the exact source, and the entry, whose blob is built from st (by now
-// detached from its run, and immutable) by whichever of the writer and
-// a reader of the entry needs it first — or here, when maxUnbuilt
-// writes already wait. engine.store.write counts the hand-off on the
-// run's sink s. Serialization or I/O failures only cost persistence —
-// the live result has already been computed and is returned
-// regardless.
+// detached from its run, and immutable) on the writer — or here, when
+// maxUnbuilt writes already wait. engine.store.write counts the
+// hand-off on the run's sink s. Serialization or I/O failures only
+// cost persistence — the live result has already been computed and is
+// returned regardless.
 func (e *Engine) diskWrite(s sink, st *State, structSum [32]byte, structNames []string) {
 	wr := &write{
 		entryKey: e.entryKey(structSum),
@@ -120,8 +110,8 @@ func (e *Engine) diskWrite(s sink, st *State, structSum [32]byte, structNames []
 // Flush waits until every store write handed off before the call is on
 // disk, or has failed. Writes land in the background (DESIGN §13): call
 // Flush before the process exits, before reporting store counters, and
-// before another engine or process reads the store. Without a store it
-// returns at once.
+// before this or another engine or process reads what it wrote. Without
+// a store it returns at once.
 func (e *Engine) Flush() { e.w.flush() }
 
 // maxPendingBytes bounds the built blob bytes handed to a writer and
@@ -140,10 +130,10 @@ const maxUnbuilt = 2
 
 // writer takes an engine's store writes off the request path: one
 // goroutine at a time builds and writes the handed-off records in
-// hand-off order, each entry before its alias, so a reader in another
-// process that finds an alias finds its entry. It runs only while
-// records are pending. A nil writer (no store) holds nothing and
-// flushes at once.
+// hand-off order, each entry before its alias, so a reader that finds
+// an alias finds its entry. Reads never consult it: a record is
+// visible once it is on disk. It runs only while records are queued.
+// A nil writer (no store) holds nothing and flushes at once.
 type writer struct {
 	// put is the store's Put. s is the engine's recorder and registry:
 	// the writer counts there the store evictions it makes and the
@@ -154,36 +144,23 @@ type writer struct {
 	mu      sync.Mutex
 	cond    sync.Cond // broadcast when a write finishes or the writer stops
 	queue   []*write
-	pending map[[32]byte]*write // key -> the latest queued write of it
-	bytes   int                 // built blob bytes queued and not yet written
-	unbuilt int                 // queued writes whose blob waits for the writer
-	sent    uint64              // writes handed off
-	done    uint64              // writes finished, on disk or failed
+	bytes   int    // built blob bytes queued and not yet written
+	unbuilt int    // queued writes whose blob waits for the writer
+	sent    uint64 // writes handed off
+	done    uint64 // writes finished, on disk or failed
 	running bool
 }
 
 // write is one hand-off: an entry and the alias that points at it, or
-// an alias alone (nil entry, nil build) for a structural hit. An entry
-// is either built before the hand-off (entry) or built later by build,
-// through once, on the writer or on a reader of the pending entry; blob
-// is the only way to read it then.
+// an alias alone (nil entry, nil build) for a structural hit. While
+// build is set the entry waits for the writer to build it; the run
+// that hands off builds it instead when the writer is behind.
 type write struct {
 	entryKey, aliasKey [32]byte
 	entry, alias       []byte
 
-	build    func() ([]byte, error)
-	once     sync.Once
-	deferred bool // queued unbuilt: counted in writer.unbuilt, not bytes
-	size     int  // the bytes counted in writer.bytes
-}
-
-// blob returns the entry blob, building it first if the hand-off left
-// that to later; nil for an alias alone and for a failed build.
-func (wr *write) blob(w *writer) []byte {
-	if wr.build != nil {
-		wr.once.Do(func() { wr.entry = w.built(wr.build) })
-	}
-	return wr.entry
+	build func() ([]byte, error)
+	size  int // the bytes counted in writer.bytes
 }
 
 // built runs one write's build. A panic in it is contained: the write
@@ -205,7 +182,7 @@ func (w *writer) built(build func() ([]byte, error)) (data []byte) {
 }
 
 func newWriter(st *store.Store, s sink) *writer {
-	w := &writer{put: st.Put, s: s, pending: map[[32]byte]*write{}}
+	w := &writer{put: st.Put, s: s}
 	w.cond.L = &w.mu
 	return w
 }
@@ -218,31 +195,25 @@ func newWriter(st *store.Store, s sink) *writer {
 func (w *writer) handOff(wr *write) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if wr.build != nil {
-		if w.unbuilt < maxUnbuilt {
-			wr.deferred = true
-			w.unbuilt++
-		} else { // the writer is behind: build here instead of waiting
-			w.mu.Unlock()
-			data := wr.blob(w)
-			w.mu.Lock()
-			if data == nil {
-				return false
-			}
+	if wr.build != nil && w.unbuilt >= maxUnbuilt {
+		// The writer is behind: build here instead of waiting.
+		w.mu.Unlock()
+		wr.entry = w.built(wr.build)
+		w.mu.Lock()
+		if wr.entry == nil {
+			return false
 		}
+		wr.build = nil
 	}
-	wr.size = len(wr.alias)
-	if !wr.deferred {
-		wr.size += len(wr.entry)
+	wr.size = len(wr.alias) + len(wr.entry)
+	if wr.build != nil {
+		w.unbuilt++
+	} else {
 		for w.bytes >= maxPendingBytes {
 			w.cond.Wait()
 		}
 	}
 	w.queue = append(w.queue, wr)
-	if wr.build != nil || wr.entry != nil {
-		w.pending[wr.entryKey] = wr
-	}
-	w.pending[wr.aliasKey] = wr
 	w.bytes += wr.size
 	w.sent++
 	if !w.running {
@@ -250,25 +221,6 @@ func (w *writer) handOff(wr *write) bool {
 		go w.run()
 	}
 	return true
-}
-
-// get returns the blob a pending write holds under key, building a
-// pending entry's blob if no one has yet.
-func (w *writer) get(key [32]byte) ([]byte, bool) {
-	if w == nil {
-		return nil, false
-	}
-	w.mu.Lock()
-	wr := w.pending[key]
-	w.mu.Unlock()
-	switch {
-	case wr == nil:
-		return nil, false
-	case key == wr.aliasKey:
-		return wr.alias, true
-	}
-	data := wr.blob(w)
-	return data, data != nil
 }
 
 // run builds and writes the queue in order until it is empty. An entry
@@ -280,17 +232,21 @@ func (w *writer) run() {
 		wr := w.queue[0]
 		w.queue[0] = nil
 		w.queue = w.queue[1:]
-		if wr.deferred {
+		if wr.build != nil {
 			w.unbuilt--
 		}
 		w.mu.Unlock()
 
-		entry := wr.blob(w)
-		evicted, err := 0, error(nil)
-		if entry != nil {
-			evicted, err = w.put(wr.entryKey, entry)
+		ok := true
+		if wr.build != nil {
+			wr.entry = w.built(wr.build)
+			ok = wr.entry != nil
 		}
-		if err == nil && (entry != nil || wr.build == nil) {
+		evicted, err := 0, error(nil)
+		if ok && wr.entry != nil {
+			evicted, err = w.put(wr.entryKey, wr.entry)
+		}
+		if ok && err == nil {
 			n, _ := w.put(wr.aliasKey, wr.alias)
 			evicted += n
 		}
@@ -299,11 +255,6 @@ func (w *writer) run() {
 		}
 
 		w.mu.Lock()
-		for _, k := range [2][32]byte{wr.entryKey, wr.aliasKey} {
-			if w.pending[k] == wr {
-				delete(w.pending, k)
-			}
-		}
 		w.bytes -= wr.size
 		w.done++
 		w.cond.Broadcast()

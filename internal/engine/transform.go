@@ -201,9 +201,9 @@ func (e *Engine) OptimizeContext(ctx context.Context, source string) (*Optimized
 func (e *Engine) optimize(source string, rec *obs.Recorder, lim guard.Limits, par int) (_ *Optimized, err error) {
 	r := e.open(rec, "optimize")
 	r.source = source
-	defer r.span.End()
+	defer r.close()
 
-	orig, err := e.analyze(source, rec, lim, par, true)
+	orig, err := e.analyze(source, r.rec, lim, par, true)
 	if err != nil {
 		return nil, err // the analysis published its own failure
 	}
@@ -310,25 +310,25 @@ func (r *optimizer) run() (res *Optimized, err error) {
 }
 
 // rounds iterates the transform pipeline to its fixed point and
-// returns the number of rounds run.
+// returns the number of rounds run. A run whose last round still
+// rewrote stops at MaxRounds short of the fixed point, and counts
+// engine.opt.maxrounds.
 func (r *optimizer) rounds() (int, error) {
-	rounds := 0
 	for round := 1; round <= MaxRounds; round++ {
-		rounds = round
 		r.st.Add("engine.opt.rounds", 1)
 		changed := false
 		for _, p := range r.e.cfg.Transforms {
 			// Boundary cancellation check between transform passes; the
 			// passes' own budget charges cover cancellation mid-rewrite.
 			if ce := r.st.lim.Cancelled("xform." + p.Name); ce != nil {
-				return rounds, &Error{Phase: ce.Phase, Err: ce}
+				return round, &Error{Phase: ce.Phase, Err: ce}
 			}
 			if err := r.prepare(p); err != nil {
-				return rounds, err
+				return round, err
 			}
 			n, err := r.transform(p)
 			if err != nil {
-				return rounds, err
+				return round, err
 			}
 			if r.st.live() {
 				r.st.Add("xform."+p.Name+".rewrites", int64(n))
@@ -350,17 +350,18 @@ func (r *optimizer) rounds() (int, error) {
 				r.reordered = true
 			}
 			if err := r.reanalyze(p.Tier); err != nil {
-				return rounds, err
+				return round, err
 			}
 			if err := r.validate(p.Name); err != nil {
-				return rounds, err
+				return round, err
 			}
 		}
 		if !changed {
-			break
+			return round, nil
 		}
 	}
-	return rounds, nil
+	r.st.Add("engine.opt.maxrounds", 1)
+	return MaxRounds, nil
 }
 
 // validateMarks checks the final parallel-loop marks by executing the
@@ -381,7 +382,7 @@ func (r *optimizer) validateMarks(out *State) ([]string, error) {
 	if r.e.cfg.SkipValidation {
 		return labels, nil
 	}
-	span := r.e.open(r.st.rec, "validate")
+	span := r.e.phase(r.st.rec, "validate")
 	err := contain("parmark", r.st.lim.Inject, func() error {
 		return validate.Parallel(out.SSA, out.File, marks, parValidateWorkers, validate.Options{})
 	})
@@ -434,7 +435,7 @@ func (r *optimizer) prepare(p TransformPass) error {
 // go stale; refresh reruns them before the next pass that reads them,
 // or before Optimize returns.
 func (r *optimizer) reanalyze(t Tier) error {
-	defer r.e.open(r.st.rec, "reanalyze").End()
+	defer r.e.phase(r.st.rec, "reanalyze").End()
 	r.stale = true
 	if t == TierSSA {
 		r.st.SSA.RefreshDom()
@@ -460,7 +461,7 @@ func (r *optimizer) refresh() error {
 	if !r.stale {
 		return nil
 	}
-	defer r.e.open(r.st.rec, "reanalyze").End()
+	defer r.e.phase(r.st.rec, "reanalyze").End()
 	if err := r.runPasses(func(name string) bool { return name != "parse" && name != "cfgbuild" && name != "ssa" }); err != nil {
 		return err
 	}
@@ -511,7 +512,7 @@ func (r *optimizer) validate(pass string) error {
 		r.chk.jobs <- check{pass: pass, prog: prog, order: order, err: err}
 		return nil
 	}
-	span := r.e.open(r.st.rec, "validate")
+	span := r.e.phase(r.st.rec, "validate")
 	err := contain(pass, r.st.lim.Inject, func() error {
 		prog := interp.Compile(r.st.SSA)
 		if r.truth == nil {
@@ -658,7 +659,7 @@ func (r *optimizer) join() error {
 func (r *optimizer) transform(p TransformPass) (n int, err error) {
 	st := r.st
 	phase := "xform." + p.Name
-	defer r.e.open(st.rec, phase).End()
+	defer r.e.phase(st.rec, phase).End()
 	defer func() {
 		if v := recover(); v != nil {
 			n, err = 0, contained(phase, v)
@@ -681,9 +682,8 @@ type OptItem struct {
 }
 
 // OptimizeAll is Optimize over the batch worker pool: the same bounded
-// fan-out, forked-recorder merging, shared step pool and per-source
-// failure isolation as AnalyzeAll, applied to the full
-// analyze-transform-validate pipeline.
+// fan-out, forked-recorder merging and per-source failure isolation as
+// AnalyzeAll, applied to the full analyze-transform-validate pipeline.
 func (e *Engine) OptimizeAll(sources []string) []OptItem {
 	return e.OptimizeAllContext(context.Background(), sources)
 }

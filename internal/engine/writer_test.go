@@ -36,35 +36,51 @@ func openStore(t *testing.T, dir string) *store.Store {
 	return disk
 }
 
-// TestWriteBehindReadsOwnWrites: records handed to the writer and not
-// yet on disk answer the engine's own reads — the exact source from
-// its alias, a formatting variant from the structural entry — and
-// land on disk once the writer runs.
+// TestWriteBehindReadsOwnWrites: an engine reads its own writes once
+// they are on disk, and only then. With the writer paused and no memory
+// tier, a repeat of the source misses the store and is analyzed afresh,
+// to the same result; once the writer has run and Flush returns, an
+// engine over the directory answers the source from its alias.
 func TestWriteBehindReadsOwnWrites(t *testing.T) {
-	disk := openStore(t, t.TempDir())
+	dir := t.TempDir()
+	disk := openStore(t, dir)
 	reg := metrics.NewRegistry()
 	e := New(persistConfig(disk, reg, nil))
 	pause(e)
-	if _, err := e.Analyze(persistSrc); err != nil {
+	first, err := e.Analyze(persistSrc)
+	if err != nil {
 		t.Fatal(err)
+	}
+	again, err := e.Analyze(persistSrc)
+	if err != nil || again.Decoded() != nil {
+		t.Fatalf("a write still queued answered the repeated source (%v)", err)
+	}
+	if a, b := first.File.String(), again.File.String(); a != b {
+		t.Fatalf("the repeat analyzed to\n%s\nnot\n%s", b, a)
+	}
+	if a, b := first.SSA.Func.String(), again.SSA.Func.String(); a != b {
+		t.Fatalf("the repeat built SSA\n%s\nnot\n%s", b, a)
+	}
+	if hit, miss := reg.Counter("engine.store.hit"), reg.Counter("engine.store.miss"); hit != 0 || miss != 2 {
+		t.Fatalf("store hits %d, misses %d before the writer ran, want 0 and 2", hit, miss)
 	}
 	if disk.Len() != 0 {
 		t.Fatalf("a paused writer put %d blobs on disk", disk.Len())
 	}
-	if st, err := e.Analyze(persistSrc); err != nil || st.Decoded() == nil {
-		t.Fatalf("the pending alias did not answer the same source (%v)", err)
-	}
-	variant := "s=0 // comment\nfor i = 1 to n { s = s + i }\n"
-	if st, err := e.Analyze(variant); err != nil || st.Decoded() == nil {
-		t.Fatalf("the pending entry did not answer a formatting variant (%v)", err)
-	}
-	if a, s := reg.Counter("engine.store.hit.alias"), reg.Counter("engine.store.hit.struct"); a != 1 || s != 1 {
-		t.Fatalf("hit.alias %d, hit.struct %d, want 1 and 1", a, s)
-	}
 	resume(e)
 	e.Flush()
-	if disk.Len() != 3 {
-		t.Fatalf("store holds %d blobs after Flush, want entry and two aliases", disk.Len())
+	if disk.Len() != 2 {
+		t.Fatalf("store holds %d blobs after Flush, want entry and alias", disk.Len())
+	}
+	reg2 := metrics.NewRegistry()
+	e2 := New(persistConfig(openStore(t, dir), reg2, nil))
+	for range 2 {
+		if st, err := e2.Analyze(persistSrc); err != nil || st.Decoded() == nil {
+			t.Fatalf("the flushed write did not answer a new engine (%v)", err)
+		}
+	}
+	if n := reg2.Counter("engine.store.hit.alias"); n != 2 {
+		t.Fatalf("hit.alias %d, want 2", n)
 	}
 }
 
@@ -231,7 +247,7 @@ func TestWriteBehindCallerBuilds(t *testing.T) {
 }
 
 // TestWriteBehindBuildFault: a panic while building a blob, on the
-// writer or on a reader of the pending entry, costs only that write.
+// writer or on the run that hands it off, costs only that write.
 // Analyze returns the live result, neither record reaches the disk, the
 // fault counts once as engine.store.fault, and later writes land.
 func TestWriteBehindBuildFault(t *testing.T) {
@@ -267,29 +283,33 @@ func TestWriteBehindBuildFault(t *testing.T) {
 			t.Fatalf("store holds %d blobs after a later write, want 2", disk.Len())
 		}
 	})
-	t.Run("reader", func(t *testing.T) {
-		// A formatting variant reads the paused write's entry and builds
-		// it; the writer later finds it built and failed.
+	t.Run("caller", func(t *testing.T) {
+		// maxUnbuilt writes wait for the paused writer, so the faulty
+		// run builds its own blob and the build panics on its goroutine.
 		disk, reg := openStore(t, t.TempDir()), metrics.NewRegistry()
 		e := faulty(disk, reg)
 		pause(e)
-		if _, err := e.Analyze(persistSrc); err != nil {
-			t.Fatal(err)
+		for k := 0; k < maxUnbuilt; k++ {
+			if _, err := e.Analyze(fmt.Sprintf("x = %d\n", k)); err != nil {
+				t.Fatal(err)
+			}
 		}
-		variant := "s=0 // comment\nfor i = 1 to n { s = s + i }\n"
-		if st, err := e.Analyze(variant); err != nil || st.Decoded() != nil {
-			t.Fatalf("the variant was not analyzed afresh past the failed build (%v)", err)
+		if st, err := e.Analyze(persistSrc); err != nil || st.SSA == nil {
+			t.Fatalf("Analyze did not return the live result past the failed build (%v)", err)
 		}
 		if n := reg.Counter("engine.store.fault"); n != 1 {
-			t.Fatalf("engine.store.fault = %d after the reader's build, want 1", n)
+			t.Fatalf("engine.store.fault = %d after the caller's build, want 1", n)
 		}
 		resume(e)
 		e.Flush()
 		if n := reg.Counter("engine.store.fault"); n != 1 {
 			t.Fatalf("engine.store.fault = %d after Flush, want 1", n)
 		}
-		if disk.Len() != 2 {
-			t.Fatalf("store holds %d blobs, want the variant's entry and alias", disk.Len())
+		if n := reg.Counter("engine.store.write"); n != maxUnbuilt {
+			t.Fatalf("engine.store.write = %d, want %d: the failed build is no write", n, maxUnbuilt)
+		}
+		if disk.Len() != 2*maxUnbuilt {
+			t.Fatalf("store holds %d blobs, want the %d other writes' entries and aliases", disk.Len(), 2*maxUnbuilt)
 		}
 	})
 }

@@ -53,9 +53,9 @@ type Limits struct {
 
 	// Pool, when non-nil, is a shared step budget drawn down by every
 	// Budget built from these Limits in addition to its per-phase
-	// countdown. The engine's batch mode uses one Pool across all
-	// sources of a batch so the whole batch — not just each source —
-	// has a work ceiling. Nil means no shared ceiling.
+	// countdown. ShareSteps sets it, in place of any pool already set,
+	// so the workers of a phase that fans out share one ceiling. Nil
+	// means no shared ceiling.
 	Pool *Pool
 
 	// Ctx, when non-nil, carries a caller's cancellation into the
@@ -249,39 +249,30 @@ func (b *Budget) Steps(n int64) {
 	}
 }
 
-// Ceiling returns the most steps the budget can ever grant: the least of
-// its per-phase limit and the totals of the pools it draws, or 0 when
-// nothing bounds it. A phase checks work it would meter step by step
-// against it up front, to answer conservatively instead of running into
-// a limit it could never pass. Configured totals, unlike what is left,
-// are the same at every parallel width and batch interleaving, so the
-// answer is too.
+// Ceiling returns the most steps the budget can ever grant: the lesser
+// of its per-phase limit and its pool's total, or 0 when nothing bounds
+// it. A phase checks work it would meter step by step against it up
+// front, to answer conservatively instead of running into a limit it
+// could never pass. Configured totals, unlike what is left, are the
+// same at every parallel width, so the answer is too.
 func (b *Budget) Ceiling() int64 {
 	if b == nil {
 		return 0
 	}
 	c := b.limit
-	for p := b.pool; p != nil; p = p.parent {
-		if c <= 0 || p.limit < c {
-			c = p.limit
-		}
+	if p := b.pool; p != nil && (c <= 0 || p.limit < c) {
+		c = p.limit
 	}
 	return c
 }
 
-// Pool is a concurrency-safe shared work budget: a batch of analyses
-// draws every phase step from one pool in addition to the per-phase
-// countdowns, bounding the batch's total work. A nil Pool is unlimited.
-//
-// A pool may chain to a parent pool (NewSubPool): every Take drains
-// both, so a phase that fans out across workers can convert its
-// sequential per-phase countdown into one concurrency-safe sub-pool
-// (see Limits.ShareSteps) while the batch-wide parent ceiling keeps
-// holding.
+// Pool is a concurrency-safe shared work budget: budgets built on
+// separate workers from one Limits draw every step from its pool as
+// well as their own countdowns (see Limits.ShareSteps). A nil Pool is
+// unlimited.
 type Pool struct {
 	limit    int64
 	left     atomic.Int64
-	parent   *Pool
 	resource string // LimitError resource label; "" = "shared step pool"
 }
 
@@ -292,19 +283,6 @@ func NewPool(total int64) *Pool {
 		return nil
 	}
 	p := &Pool{limit: total}
-	p.left.Store(total)
-	return p
-}
-
-// NewSubPool returns a pool of total steps chained to parent: Take
-// drains both, and exhaustion panics with the given resource label so
-// the error text matches whatever sequential countdown the sub-pool
-// replaces. total <= 0 returns the parent unchanged.
-func NewSubPool(parent *Pool, total int64, resource string) *Pool {
-	if total <= 0 {
-		return parent
-	}
-	p := &Pool{limit: total, parent: parent, resource: resource}
 	p.left.Store(total)
 	return p
 }
@@ -323,19 +301,19 @@ func (p *Pool) Take(phase string, n int64) {
 		}
 		panic(&LimitError{Phase: phase, Resource: res, Limit: p.limit})
 	}
-	p.parent.Take(phase, n)
 }
 
 // ShareSteps converts the per-phase step countdown into a
-// concurrency-safe shared ceiling: the returned Limits carry a
-// sub-pool of MaxPhaseSteps steps (chained to any existing Pool, with
-// the "phase steps" resource label so limit errors read the same as
-// the sequential path's) and MaxPhaseSteps zeroed. Budgets built from
-// the result on separate workers then enforce one phase-wide ceiling
-// together instead of giving each worker the full budget.
+// concurrency-safe shared ceiling: the returned Limits carry a pool of
+// MaxPhaseSteps steps (with the "phase steps" resource label, so limit
+// errors read the same as the sequential path's) and MaxPhaseSteps
+// zeroed. Budgets built from the result on separate workers then
+// enforce one phase-wide ceiling together instead of giving each
+// worker the full budget.
 func (l Limits) ShareSteps() Limits {
 	if l.MaxPhaseSteps > 0 {
-		l.Pool = NewSubPool(l.Pool, l.MaxPhaseSteps, "phase steps")
+		l.Pool = NewPool(l.MaxPhaseSteps)
+		l.Pool.resource = "phase steps"
 		l.MaxPhaseSteps = 0
 	}
 	return l

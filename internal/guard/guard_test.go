@@ -138,12 +138,12 @@ func TestPoolNilAndZero(t *testing.T) {
 	b.Steps(9) // only the per-phase ceiling applies
 }
 
-// TestBudgetCeiling: the ceiling is the least configured total along
-// the budget's per-phase limit and pool chain — the same whether the
-// phase counts down alone or shares a sub-pool across workers — and 0
-// when nothing bounds the budget.
+// TestBudgetCeiling: the ceiling is the lesser of the budget's
+// per-phase limit and its pool's total — the same whether the phase
+// counts down alone or shares a pool across workers — and 0 when
+// nothing bounds the budget.
 func TestBudgetCeiling(t *testing.T) {
-	batch := NewPool(300)
+	pool := NewPool(300)
 	cases := []struct {
 		name string
 		lim  Limits
@@ -151,10 +151,9 @@ func TestBudgetCeiling(t *testing.T) {
 	}{
 		{"unchecked", Limits{}, 0},
 		{"per-phase", Limits{MaxPhaseSteps: 500}, 500},
-		{"batch pool below phase", Limits{MaxPhaseSteps: 500, Pool: batch}, 300},
-		{"shared phase", Limits{MaxPhaseSteps: 500, Pool: batch}.ShareSteps(), 300},
-		{"shared phase below batch", Limits{MaxPhaseSteps: 200, Pool: batch}.ShareSteps(), 200},
-		{"pool only", Limits{Pool: batch}, 300},
+		{"pool below phase", Limits{MaxPhaseSteps: 500, Pool: pool}, 300},
+		{"shared phase", Limits{MaxPhaseSteps: 500}.ShareSteps(), 500},
+		{"pool only", Limits{Pool: pool}, 300},
 	}
 	for _, c := range cases {
 		if got := c.lim.Budget("depend").Ceiling(); got != c.want {

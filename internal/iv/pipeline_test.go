@@ -180,11 +180,10 @@ func TestAnalysisDropsRun(t *testing.T) {
 	defer cancel()
 	fired := 0
 	eng := engine.New(engine.Config{
-		Passes:     Passes(Options{}),
-		Obs:        rec,
-		Limits:     guard.Limits{Inject: func(string) { fired++ }},
-		BatchSteps: 1 << 40,
-		Jobs:       1,
+		Passes: Passes(Options{}),
+		Obs:    rec,
+		Limits: guard.Limits{Inject: func(string) { fired++ }, Pool: guard.NewPool(1 << 40)},
+		Jobs:   1,
 	})
 	item := eng.AnalyzeAllContext(ctx, []string{pipelineSrc})[0]
 	if item.Err != nil {

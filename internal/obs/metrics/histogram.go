@@ -15,13 +15,7 @@ import (
 // its bucket bracket to the observed range — a single-valued or
 // single-bucket distribution therefore reports exact percentiles.
 //
-// Histograms are safe for concurrent use and mergeable: Merge adds
-// another histogram's counts bucket-by-bucket (the bound slices must
-// be equal), which is associative and commutative, so per-worker or
-// per-process histograms combine into process- or fleet-wide ones in
-// any grouping.
-//
-// Observe is lock-free — an inline binary search plus a handful of
+// Histograms are safe for concurrent use. Observe is lock-free — an inline binary search plus a handful of
 // atomic adds — so it sits on the engine's per-pass hot path without
 // a mutex. The price is that a Snapshot taken while observers are
 // mid-flight may be off by those in-flight observations (count and
@@ -113,58 +107,6 @@ func (h *Histogram) Count() int64 {
 		return 0
 	}
 	return h.count.Load()
-}
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
-// Merge adds o's observations into h. The two histograms must share
-// the same bounds; merging is associative, so partial aggregates
-// combine in any order. Merging a nil or empty histogram is a no-op.
-func (h *Histogram) Merge(o *Histogram) error {
-	if h == nil || o == nil {
-		return nil
-	}
-	return h.mergeSnapshot(o.raw())
-}
-
-func (h *Histogram) mergeSnapshot(s HistSnapshot) error {
-	if s.Count == 0 {
-		return nil
-	}
-	if len(s.Bounds) != len(h.bounds) {
-		return fmt.Errorf("metrics: merging histograms with %d vs %d bounds", len(s.Bounds), len(h.bounds))
-	}
-	for i, b := range s.Bounds {
-		if h.bounds[i] != b {
-			return fmt.Errorf("metrics: merging histograms with different bounds at %d: %d vs %d", i, h.bounds[i], b)
-		}
-	}
-	for i, c := range s.Counts {
-		if c != 0 {
-			h.counts[i].Add(c)
-		}
-	}
-	h.count.Add(s.Count)
-	h.sum.Add(s.Sum)
-	for {
-		cur := h.min.Load()
-		if s.Min >= cur || h.min.CompareAndSwap(cur, s.Min) {
-			break
-		}
-	}
-	for {
-		cur := h.max.Load()
-		if s.Max <= cur || h.max.CompareAndSwap(cur, s.Max) {
-			break
-		}
-	}
-	return nil
 }
 
 // Quantile returns a bracket [lo, hi] guaranteed to contain the q-th

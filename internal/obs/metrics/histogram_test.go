@@ -133,77 +133,6 @@ func TestHistogramEmpty(t *testing.T) {
 	}
 }
 
-// TestHistogramMergeAssociative: (a+b)+c and a+(b+c) produce identical
-// snapshots, and both equal observing everything into one histogram.
-func TestHistogramMergeAssociative(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	observe := func(h *Histogram, n int) []int64 {
-		out := make([]int64, n)
-		for i := range out {
-			out[i] = int64(rng.Intn(1_000_000))
-			h.Observe(out[i])
-		}
-		return out
-	}
-	a, b, c := NewHistogram(nil), NewHistogram(nil), NewHistogram(nil)
-	all := NewHistogram(nil)
-	for _, vs := range [][]int64{observe(a, 50), observe(b, 80), observe(c, 30)} {
-		for _, v := range vs {
-			all.Observe(v)
-		}
-	}
-
-	left := NewHistogram(nil) // (a+b)+c
-	for _, h := range []*Histogram{a, b, c} {
-		if err := left.Merge(h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	bc := NewHistogram(nil) // a+(b+c)
-	for _, h := range []*Histogram{b, c} {
-		if err := bc.Merge(h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	right := NewHistogram(nil)
-	if err := right.Merge(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := right.Merge(bc); err != nil {
-		t.Fatal(err)
-	}
-
-	ls, rs, as := left.Snapshot(), right.Snapshot(), all.Snapshot()
-	for name, s := range map[string]HistSnapshot{"(a+b)+c": ls, "a+(b+c)": rs} {
-		if s.Count != as.Count || s.Sum != as.Sum || s.Min != as.Min || s.Max != as.Max {
-			t.Errorf("%s summary %+v != direct %+v", name, s, as)
-		}
-		for i := range s.Counts {
-			if s.Counts[i] != as.Counts[i] {
-				t.Errorf("%s bucket %d = %d, want %d", name, i, s.Counts[i], as.Counts[i])
-			}
-		}
-	}
-}
-
-func TestHistogramMergeBoundsMismatch(t *testing.T) {
-	a := NewHistogram([]int64{1, 2, 3})
-	b := NewHistogram([]int64{1, 2, 4})
-	b.Observe(1)
-	if err := a.Merge(b); err == nil {
-		t.Error("Merge accepted histograms with different bounds")
-	}
-	c := NewHistogram([]int64{1, 2})
-	c.Observe(1)
-	if err := a.Merge(c); err == nil {
-		t.Error("Merge accepted histograms with different bound counts")
-	}
-	// Merging an *empty* histogram of any shape is a no-op, not an error.
-	if err := a.Merge(NewHistogram([]int64{99})); err != nil {
-		t.Errorf("Merge of empty histogram errored: %v", err)
-	}
-}
-
 func TestDefaultBoundsShape(t *testing.T) {
 	bounds := DefaultBounds()
 	for i := 1; i < len(bounds); i++ {

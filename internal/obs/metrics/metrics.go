@@ -12,10 +12,6 @@
 // Like the recorder, a nil *Registry is the valid "metrics off"
 // value: every method no-ops on a nil receiver, so instrumentation
 // threads it unconditionally at the cost of a nil check.
-//
-// Registries are mergeable (counters add, histograms add
-// bucket-by-bucket, gauges take the incoming value), so per-worker or
-// per-shard registries can fold into one.
 package metrics
 
 import (
@@ -125,19 +121,10 @@ func (r *Registry) Hist(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	return r.hist(name, nil)
+	return r.hist(name)
 }
 
-// HistWith returns the named histogram, creating it with the given
-// bounds on first use (an existing histogram keeps its bounds).
-func (r *Registry) HistWith(name string, bounds []int64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return r.hist(name, bounds)
-}
-
-func (r *Registry) hist(name string, bounds []int64) *Histogram {
+func (r *Registry) hist(name string) *Histogram {
 	r.mu.RLock()
 	h := r.hists[name]
 	r.mu.RUnlock()
@@ -147,7 +134,7 @@ func (r *Registry) hist(name string, bounds []int64) *Histogram {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h = r.hists[name]; h == nil {
-		h = NewHistogram(bounds)
+		h = NewHistogram(nil)
 		r.hists[name] = h
 	}
 	return h
@@ -159,35 +146,12 @@ func (r *Registry) Observe(name string, v int64) {
 	if r == nil {
 		return
 	}
-	r.hist(name, nil).Observe(v)
+	r.hist(name).Observe(v)
 }
 
 // ObserveDuration records d in nanoseconds into the named histogram.
 func (r *Registry) ObserveDuration(name string, d time.Duration) {
 	r.Observe(name, d.Nanoseconds())
-}
-
-// Merge folds o into r: counters add, histograms merge
-// bucket-by-bucket (first error reported, remaining entries still
-// merge), and gauges take o's value. Merging nil is a no-op.
-func (r *Registry) Merge(o *Registry) error {
-	if r == nil || o == nil {
-		return nil
-	}
-	snap := o.Snapshot()
-	var firstErr error
-	for name, v := range snap.Counters {
-		r.Add(name, v)
-	}
-	for name, v := range snap.Gauges {
-		r.SetGauge(name, v)
-	}
-	for name, hs := range snap.Hists {
-		if err := r.hist(name, hs.Bounds).mergeSnapshot(hs); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
 }
 
 // Snapshot is an immutable, JSON-serializable copy of a registry.

@@ -48,9 +48,6 @@ func TestRegistryNil(t *testing.T) {
 	if r.Counter("a") != 0 || r.Gauge("g") != 0 || r.Hist("h") != nil {
 		t.Error("nil registry leaked state")
 	}
-	if err := r.Merge(NewRegistry()); err != nil {
-		t.Error(err)
-	}
 	s := r.Snapshot()
 	if len(s.Counters) != 0 || len(s.Hists) != 0 {
 		t.Error("nil registry snapshot non-empty")
@@ -58,7 +55,7 @@ func TestRegistryNil(t *testing.T) {
 }
 
 // TestRegistryRace hammers one registry from 8 goroutines mixing
-// counters, gauges, histograms, snapshots and merges; run with -race.
+// counters, gauges, histograms and snapshots; run with -race.
 func TestRegistryRace(t *testing.T) {
 	r := NewRegistry()
 	const goroutines = 8
@@ -68,7 +65,6 @@ func TestRegistryRace(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			other := NewRegistry()
 			for i := 0; i < iters; i++ {
 				r.Inc("shared.counter")
 				r.Add(fmt.Sprintf("per.%d", g), 2)
@@ -77,11 +73,6 @@ func TestRegistryRace(t *testing.T) {
 				r.ObserveDuration("shared.latency", time.Duration(i)*time.Microsecond)
 				if i%512 == 0 {
 					_ = r.Snapshot()
-					other.Observe("shared.hist", int64(i))
-					if err := r.Merge(other); err != nil {
-						t.Error(err)
-					}
-					other = NewRegistry()
 				}
 			}
 		}(g)
@@ -95,29 +86,9 @@ func TestRegistryRace(t *testing.T) {
 			t.Errorf("per.%d = %d, want %d", g, got, 2*iters)
 		}
 	}
-	wantHist := int64(goroutines * (iters + (iters+511)/512))
+	wantHist := int64(goroutines * iters)
 	if got := r.Hist("shared.hist").Count(); got != wantHist {
 		t.Errorf("shared.hist count = %d, want %d", got, wantHist)
-	}
-}
-
-func TestRegistryMerge(t *testing.T) {
-	a, b := NewRegistry(), NewRegistry()
-	a.Add("c", 1)
-	b.Add("c", 2)
-	b.Add("only.b", 5)
-	a.Observe("h", 10)
-	b.Observe("h", 20)
-	b.SetGauge("g", 9)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Counter("c") != 3 || a.Counter("only.b") != 5 || a.Gauge("g") != 9 {
-		t.Errorf("merged counters/gauges wrong: c=%d only.b=%d g=%d",
-			a.Counter("c"), a.Counter("only.b"), a.Gauge("g"))
-	}
-	if got := a.Hist("h").Count(); got != 2 {
-		t.Errorf("merged hist count = %d, want 2", got)
 	}
 }
 

@@ -145,19 +145,6 @@ func (s *Span) End() {
 	r.cur = s.parent
 }
 
-// Read calls fn with the span while holding its recorder's lock, so fn
-// may read the span's subtree while other runs sharing the recorder
-// open and close spans in it. fn must only read: it must not call the
-// recorder or block. No-op on a nil span.
-func (s *Span) Read(fn func(*Span)) {
-	if s == nil {
-		return
-	}
-	s.rec.mu.Lock()
-	defer s.rec.mu.Unlock()
-	fn(s)
-}
-
 // Fork returns a recorder that shares r's epoch, clock and allocation
 // source but records into its own span tree, counter registry and
 // provenance log. Batch workers record into forks concurrently — one
@@ -171,14 +158,29 @@ func (r *Recorder) Fork() *Recorder {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	return r.fork(int(r.tidSeq.Add(1)))
+}
+
+// ForkRun is Fork on r's own trace track, for one run of a pipeline:
+// the run records into the fork alone, so its span tree holds only its
+// own spans however many runs share r, and Absorb merges it back when
+// the run ends. Nil on a nil recorder.
+func (r *Recorder) ForkRun() *Recorder {
+	if r == nil {
+		return nil
+	}
+	return r.fork(r.tid)
+}
+
+// fork returns an empty recorder on trace track tid. It reads only
+// fields fixed at construction, so it takes no lock.
+func (r *Recorder) fork(tid int) *Recorder {
 	return &Recorder{
 		epoch:    r.epoch,
 		now:      r.now,
 		mallocs:  r.mallocs,
 		counters: map[string]int64{},
-		tid:      int(r.tidSeq.Add(1)),
+		tid:      tid,
 		tidSeq:   r.tidSeq,
 	}
 }

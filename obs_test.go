@@ -321,6 +321,7 @@ L1: for i = 0 to 19 {
 	analyze(a)                                         // miss, store write, fan-out
 	analyze(a)                                         // memory hit
 	analyze(b)                                         // miss, write, evicts a
+	an.Flush()                                         // a's write lands
 	analyze(a)                                         // alias hit, evicts b
 	analyze("// reformatted\n" + strings.TrimSpace(b)) // structural hit, evicts a
 	an.Flush()

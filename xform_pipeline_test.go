@@ -9,7 +9,9 @@ import (
 	"strings"
 	"testing"
 
+	"beyondiv/internal/engine"
 	"beyondiv/internal/iv"
+	"beyondiv/internal/obs/metrics"
 	"beyondiv/internal/paper"
 	"beyondiv/internal/progen"
 	"beyondiv/internal/ssa"
@@ -188,6 +190,31 @@ func TestOptimizeUnknownPass(t *testing.T) {
 	for i, it := range items {
 		if it.Err == nil {
 			t.Errorf("batch item %d missing pass-resolution error", i)
+		}
+	}
+}
+
+// TestOptimizeMaxRoundsCounted: an Optimize whose passes still rewrite
+// in round MaxRounds stops short of its fixed point and counts
+// engine.opt.maxrounds once; one that converges counts nothing.
+// DerivedChain(k) is a wrap-around chain of order k-1, and peel lowers
+// the order by one per round, so k = 16 cannot converge in MaxRounds
+// rounds and k = 4 does.
+func TestOptimizeMaxRoundsCounted(t *testing.T) {
+	for _, tc := range []struct {
+		k         int
+		maxRounds int64
+	}{{16, 1}, {4, 0}} {
+		reg := metrics.NewRegistry()
+		res, err := NewAnalyzer(Options{Metrics: reg, SkipValidation: true}).Optimize(progen.DerivedChain(tc.k))
+		if err != nil {
+			t.Fatalf("DerivedChain(%d): %v", tc.k, err)
+		}
+		if n := reg.Counter("engine.opt.maxrounds"); n != tc.maxRounds {
+			t.Errorf("DerivedChain(%d): engine.opt.maxrounds = %d after %d rounds, want %d", tc.k, n, res.Rounds, tc.maxRounds)
+		}
+		if stopped := res.Rounds == engine.MaxRounds; stopped != (tc.maxRounds == 1) {
+			t.Errorf("DerivedChain(%d) ran %d rounds", tc.k, res.Rounds)
 		}
 	}
 }
